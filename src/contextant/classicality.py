@@ -149,11 +149,25 @@ def find_classical_neighbor(
     of angle's step fraction, denominator <= q_max.
 
     Returns (neighbor, distance); neighbor is None when q_max is too small,
-    in which case distance is the closest achieved.
+    in which case distance is the closest achieved.  The result is that of
+    an ascending scan over every even q' in [2, q_max]; the scan starts
+    later, at max(2, min(lo, q_max - 4q)) rounded up to even, because:
+
+    - a reduced p'/q' with even q' differs from p/q (q odd), so
+      |p'/q' - p/q| >= 1/(q q'), and no q' below lo, the first q' with
+      q q' eps_frac > 1, has a candidate within eps_frac;
+    - among any q consecutive even q' one has p q' = 1 (mod q), which
+      makes floor(x q')/q' reduced, at distance exactly 1/(q q') and, for
+      q' >= 4, inside [1/4, 1/2]; that beats every candidate with a
+      smaller q', so when q_max > 4q the last 4q denominators hold the
+      closest candidate in [2, q_max].
     """
     x = angle.fraction
+    q = angle.q
+    lo = q_max + 1 if eps_frac <= 0 else math.floor(1 / (q * eps_frac)) + 1
+    start = max(2, min(lo, q_max - 4 * q))
     best_dist: Fraction | None = None
-    for q2 in range(2, q_max + 1, 2):
+    for q2 in range(start + start % 2, q_max + 1, 2):
         for p2 in (math.floor(x * q2), math.ceil(x * q2)):
             if p2 < 1 or math.gcd(p2, q2) != 1:
                 continue

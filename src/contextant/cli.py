@@ -55,6 +55,28 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _positive_finite_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return x
+
+
+def _int_at_least_2(text: str) -> int:
+    """argparse type: an integer >= 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
+    return n
+
+
 def _thread_count() -> int:
     raw = os.environ.get("CONTEXTANT_THREADS", "")
     try:
@@ -260,9 +282,6 @@ def cmd_discontinuity(args) -> int:
         print(f"discontinuity: {args.p}/{args.q} is Classical; "
               "the probe needs a Nonclassical start", file=sys.stderr)
         return EXIT_USAGE
-    if args.epsilon <= 0:
-        print("discontinuity: --epsilon must be positive", file=sys.stderr)
-        return EXIT_USAGE
     eps_frac = args.epsilon / (2.0 * math.pi)
     found, best_dist = find_classical_neighbor(
         angle, Fraction(eps_frac), args.q_max
@@ -332,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("oracle", help="exhaustive cycle-minimum oracle")
+    p = sub.add_parser("oracle", help="exact cycle-minimum oracle")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.set_defaults(func=cmd_oracle)
@@ -348,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True,
+    p.add_argument("--epsilon", type=_positive_finite_float, required=True,
                    help="radius in delta (radians)")
-    p.add_argument("--q-max", type=int, default=100000)
+    p.add_argument("--q-max", type=_int_at_least_2, default=100000)
     p.set_defaults(func=cmd_discontinuity)
 
     p = sub.add_parser("ks-color", help="Kochen-Specker colorability of a vector file")

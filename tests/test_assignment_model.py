@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contextant._kernel import Q_MAX
 from contextant.angle_family import AngleClass, RationalAngle, classify, orbit_cycle
 from contextant.assignment_model import (
     CycleAssignment,
@@ -156,8 +157,9 @@ class TestBruteForce:
         assert a1 == a2
 
     def test_resource_guard(self):
+        # 40000 is coprime to Q_MAX + 1 = 100001 = 11 * 9091
         with pytest.raises(ValueError):
-            brute_force_min(RationalAngle(10, 29))
+            brute_force_min(RationalAngle(40000, Q_MAX + 1))
 
 
 class TestMixtureForTarget:

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextant.angle_family import RationalAngle, classify, g_of_delta
 from contextant.assignment_model import brute_force_min, min_correlation
@@ -14,6 +16,7 @@ from contextant.classicality import (
     condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
+    find_classical_neighbor,
     generic_witness_approximant,
     ks_colorability,
     single_observable_model,
@@ -98,6 +101,50 @@ class TestDecidePairFamily:
             hv_min, _ = brute_force_min(angle)
             # strict comparison, exact on the hidden-variable side
             assert (Fraction(v.g) < hv_min) == (not v.classical)
+
+
+def linear_scan_neighbor(angle, eps_frac, q_max):
+    """Reference: the full ascending scan over every even q' <= q_max."""
+    x = angle.fraction
+    best_dist: Fraction | None = None
+    for q2 in range(2, q_max + 1, 2):
+        for p2 in (math.floor(x * q2), math.ceil(x * q2)):
+            if p2 < 1 or math.gcd(p2, q2) != 1:
+                continue
+            f = Fraction(p2, q2)
+            if not (Fraction(1, 4) <= f <= Fraction(1, 2)):
+                continue
+            d = abs(f - x)
+            if best_dist is None or d < best_dist:
+                best_dist = d
+            if d < eps_frac:
+                return RationalAngle(p2, q2), d
+    return None, best_dist
+
+
+@st.composite
+def odd_members(draw):
+    q = draw(st.integers(1, 30).map(lambda n: 2 * n + 1))
+    ps = [p for p, q2 in coprime_pairs(q) if q2 == q]
+    return RationalAngle(draw(st.sampled_from(ps)), q)
+
+
+class TestFindClassicalNeighbor:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        angle=odd_members(),
+        log_eps=st.floats(-9.0, -0.5),
+        q_max=st.integers(0, 5000),
+    )
+    @example(angle=RationalAngle(2, 5), log_eps=-3.0, q_max=5000)  # found
+    @example(angle=RationalAngle(2, 5), log_eps=-7.0, q_max=5000)  # not found
+    @example(angle=RationalAngle(29, 61), log_eps=-6.0, q_max=200)  # q_max < 4q
+    @example(angle=RationalAngle(2, 5), log_eps=-3.0, q_max=1)  # empty range
+    def test_matches_linear_scan(self, angle, log_eps, q_max):
+        eps_frac = Fraction(10.0**log_eps)
+        assert find_classical_neighbor(angle, eps_frac, q_max) == (
+            linear_scan_neighbor(angle, eps_frac, q_max)
+        )
 
 
 class TestGenericVerdict:

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from contextant._kernel import Q_MAX
+
 BASE_ENV = {k: v for k, v in os.environ.items() if k != "CONTEXTANT_THREADS"}
 
 
@@ -110,7 +112,10 @@ class TestOracle:
         assert "-3/5" in r.stdout and "agree" in r.stdout
 
     def test_resource_guard(self):
-        assert run_cli("oracle", "--p", "10", "--q", "29").returncode == 3
+        # 40000 is coprime to Q_MAX + 1 = 100001 = 11 * 9091
+        r = run_cli("oracle", "--p", "40000", "--q", str(Q_MAX + 1))
+        assert r.returncode == 3
+        assert "limit" in r.stderr
 
 
 class TestQuantumCheck:
@@ -156,6 +161,19 @@ class TestDiscontinuity:
                     "--epsilon", str(eps), "--q-max", "10")
         assert r.returncode == 3
         assert "closest achieved distance" in r.stderr
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        r = run_cli("discontinuity", "--p", "2", "--q", "5",
+                    "--epsilon", epsilon)
+        assert r.returncode == 2
+        assert "--epsilon" in r.stderr and "Traceback" not in r.stderr
+
+    def test_q_max_below_two_rejected(self):
+        r = run_cli("discontinuity", "--p", "2", "--q", "5",
+                    "--epsilon", "0.1", "--q-max", "1")
+        assert r.returncode == 2
+        assert "--q-max" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestKsColor:
