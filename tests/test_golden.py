@@ -1,8 +1,14 @@
-"""Byte-identity of `oracle` and `discontinuity` output against golden files.
+"""Byte-identity of CLI output against golden files.
 
-Each file under tests/data/ holds the output that the brute-force searches
-(2^q mask enumeration, full linear neighbour scan) printed for the argv
-below; the exact searches that replaced them must print the same bytes.
+Each file under tests/data/ holds the output that an earlier
+implementation printed for the argv below, and the current code must
+print the same bytes:
+
+- `oracle` and `discontinuity` as printed by the brute-force searches
+  (2^q mask enumeration, full linear neighbour scan);
+- `scan` (CSV and JSON) and `verdict`, including the witness line, as
+  printed when cycle assignments were stored as length-q sign tuples.
+
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
 """
@@ -25,6 +31,11 @@ ORACLE_P = {13: 6, 14: 5, 15: 7, 16: 7, 17: 8, 18: 7, 19: 9, 20: 9,
 CASES = {
     **{f"oracle_{p}_{q}": (["oracle", "--p", str(p), "--q", str(q)], 0, "out")
        for q, p in ORACLE_P.items()},
+    "oracle_49999_99999": (["oracle", "--p", "49999", "--q", "99999"], 0, "out"),
+    "scan_qmax300_csv": (["scan", "--q-max", "300"], 0, "out"),
+    "scan_qmax300_json": (["scan", "--q-max", "300", "--format", "json"], 0, "out"),
+    **{f"verdict_{p}_{q}": (["verdict", "--p", str(p), "--q", str(q)], 0, "out")
+       for p, q in ((1, 2), (1, 3), (1, 4), (2, 5), (50000, 199999))},
     "discontinuity_2_5_eps1e-6": (
         ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "1e-6",
          "--q-max", "10000000"], 0, "out"),
