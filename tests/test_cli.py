@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 
@@ -7,19 +6,18 @@ import pytest
 
 from contextant._kernel import Q_MAX
 
-BASE_ENV = {k: v for k, v in os.environ.items() if k != "CONTEXTANT_THREADS"}
 
-
-def run_cli(*args, threads=None):
-    env = dict(BASE_ENV)
-    if threads is not None:
-        env["CONTEXTANT_THREADS"] = str(threads)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "contextant.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
+
+
+def assert_usage_error(r, option):
+    assert r.returncode == 2
+    assert option in r.stderr and "Traceback" not in r.stderr
 
 
 class TestVerdict:
@@ -47,6 +45,14 @@ class TestVerdict:
     def test_missing_args(self):
         r = run_cli("verdict")
         assert r.returncode == 2
+
+    def test_theta_q_max_below_two_rejected(self):
+        assert_usage_error(run_cli("verdict", "--theta", "0.9", "--q-max", "1"),
+                           "--q-max")
+
+    def test_negative_tolerance_rejected(self):
+        assert_usage_error(run_cli("verdict", "--theta", "0.9", "--tolerance", "-1"),
+                           "--tolerance")
 
 
 class TestScan:
@@ -86,11 +92,10 @@ class TestScan:
         rows = json.loads(r.stdout)
         assert rows[0]["p"] == 1 and rows[0]["q"] == 2
 
-    def test_deterministic_across_runs_and_threads(self):
-        a = run_cli("scan", "--q-max", "64", threads=1).stdout
-        b = run_cli("scan", "--q-max", "64", threads=1).stdout
-        c = run_cli("scan", "--q-max", "64", threads=8).stdout
-        assert a == b == c
+    def test_deterministic_across_runs(self):
+        a = run_cli("scan", "--q-max", "64").stdout
+        b = run_cli("scan", "--q-max", "64").stdout
+        assert a == b
 
     def test_even_q_rows_classical_odd_nonclassical_above_threshold(self):
         from contextant.classicality import condition_p_threshold
@@ -164,16 +169,12 @@ class TestDiscontinuity:
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, epsilon):
-        r = run_cli("discontinuity", "--p", "2", "--q", "5",
-                    "--epsilon", epsilon)
-        assert r.returncode == 2
-        assert "--epsilon" in r.stderr and "Traceback" not in r.stderr
+        assert_usage_error(run_cli("discontinuity", "--p", "2", "--q", "5",
+                                   "--epsilon", epsilon), "--epsilon")
 
     def test_q_max_below_two_rejected(self):
-        r = run_cli("discontinuity", "--p", "2", "--q", "5",
-                    "--epsilon", "0.1", "--q-max", "1")
-        assert r.returncode == 2
-        assert "--q-max" in r.stderr and "Traceback" not in r.stderr
+        assert_usage_error(run_cli("discontinuity", "--p", "2", "--q", "5",
+                                   "--epsilon", "0.1", "--q-max", "1"), "--q-max")
 
 
 class TestKsColor:
@@ -194,3 +195,13 @@ class TestKsColor:
 
     def test_bad_file(self):
         assert run_cli("ks-color", "/nonexistent/file.txt").returncode == 2
+
+    def test_zero_vector_rejected(self, tmp_path):
+        f = tmp_path / "vecs.txt"
+        f.write_text("1 0 0\n0 0 0\n")
+        assert_usage_error(run_cli("ks-color", str(f)), "line 2")
+
+    def test_nan_component_rejected(self, tmp_path):
+        f = tmp_path / "vecs.txt"
+        f.write_text("nan 0 1\n")
+        assert_usage_error(run_cli("ks-color", str(f)), "line 1")
