@@ -7,7 +7,9 @@ print the same bytes:
 - `oracle` and `discontinuity` as printed by the brute-force searches
   (2^q mask enumeration, full linear neighbour scan);
 - `scan` (CSV and JSON) and `verdict`, including the witness line, as
-  printed when cycle assignments were stored as length-q sign tuples.
+  printed when cycle assignments were stored as length-q sign tuples;
+- `verdict --theta`, as printed while the verdict record still carried
+  float copies of the classical minimum.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -36,6 +38,11 @@ CASES = {
     "scan_qmax300_json": (["scan", "--q-max", "300", "--format", "json"], 0, "out"),
     **{f"verdict_{p}_{q}": (["verdict", "--p", str(p), "--q", str(q)], 0, "out")
        for p, q in ((1, 2), (1, 3), (1, 4), (2, 5), (50000, 199999))},
+    # delta/2pi near 1/3 (the exact tie) and near 2/5 (Nonclassical)
+    **{f"verdict_theta{t}_qmax{m}": (
+        ["verdict", "--theta", t, "--q-max", m], 0, "out")
+       for t, m in (("0.9", "100"), ("0.9553166181245094", "1000"),
+                    ("0.8382831191721175", "1000"))},
     "discontinuity_2_5_eps1e-6": (
         ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "1e-6",
          "--q-max", "10000000"], 0, "out"),
