@@ -26,7 +26,6 @@ from .assignment_model import (
     min_correlation,
     mixture_for_target,
     optimal_assignment,
-    overlap_condition,
     uniform_assignment,
 )
 from .classicality import (
@@ -84,7 +83,6 @@ __all__ = [
     "mixture_for_target",
     "optimal_assignment",
     "orbit_cycle",
-    "overlap_condition",
     "rational_approximants",
     "single_observable_model",
     "spin_operator",

@@ -159,9 +159,10 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
     out.append(Fraction(h, k))
     for i in range(1, len(a_list)):
         a = a_list[i]
-        # semiconvergents c*h + h_prev for c = 1..a; the c = a case is the
-        # next convergent
-        for c in range(1, a + 1):
+        # semiconvergents c*h + h_prev for c = a//2..a; the c = a case is
+        # the next convergent.  One with c < a/2 never beats h/k, so the
+        # loop costs about as much as the fractions it can return.
+        for c in range(max(1, a // 2), a + 1):
             hn, kn = c * h + h_prev, c * k + k_prev
             if kn > q_max:
                 return out

@@ -2,8 +2,8 @@
 
 Cycle assignments (arc-piecewise-constant +-1 functions), their exact
 correlation, the closed-form minima for the three parity classes, the
-optimal construction, an independent exact-minimum oracle, mixtures hitting a
-target correlation, and the classical-vs-quantum overlap comparison.
+optimal construction, an independent exact-minimum oracle, and the mixture
+hitting a target correlation, whose existence is the classicality rule.
 
 Correlations are kept as exact Fractions; floats appear only at the
 quantum interface.
@@ -21,6 +21,11 @@ from .angle_family import AngleClass, RationalAngle, classify
 class ExclusivityError(ValueError):
     """An assignment gives -1 to two adjacent (compatible) positions."""
 
+
+# Largest q for which mixture_for_target builds a witness: printing one
+# takes q characters per component, and a classical discontinuity
+# neighbour grows like 1/(q * epsilon).
+WITNESS_Q_MAX = 10_000_000
 
 _SIGNS = str.maketrans("01", "+-")
 _VALUE = {"+": 1, "-": -1}
@@ -137,13 +142,21 @@ def mixture_for_target(
 ) -> HiddenVariableModel | None:
     """Two-component mixture of the optimal and uniform assignments whose
     correlation equals target_g exactly, or None when the target lies below
-    the achievable minimum."""
+    the achievable minimum.  This comparison is the classicality rule.
+
+    Resource limit: a reachable target with angle.q > WITNESS_Q_MAX raises
+    ValueError before any assignment is built.
+    """
     if abs(target_g) > 1:
         raise ValueError("target correlation must lie in [-1, 1]")
     target = Fraction(target_g)
     m = min_correlation(classify(angle))
     if target < m:
         return None
+    if angle.q > WITNESS_Q_MAX:
+        raise ValueError(
+            f"q = {angle.q} above the witness limit {WITNESS_Q_MAX}"
+        )
     w = (1 - target) / (1 - m)  # weight on the optimal component
     return HiddenVariableModel(
         (
@@ -151,24 +164,3 @@ def mixture_for_target(
             (1 - w, uniform_assignment(angle.q)),
         )
     )
-
-
-def overlap_condition(
-    target_g: float, angle_class: AngleClass
-) -> tuple[bool, float]:
-    """Strict classical-vs-quantum comparison for the pair family.
-
-    For negative quantum correlation the family is nonclassical exactly
-    when the achievable minimum cannot reach it; the margin is
-    |target_g| - |min|, positive iff nonclassical.  Nonnegative targets are
-    always reachable (the uniform assignment overshoots), so the verdict is
-    classical with margin -(1 - target_g) <= 0.
-    """
-    if abs(target_g) > 1:
-        raise ValueError("target correlation must lie in [-1, 1]")
-    if target_g >= 0:
-        return False, -(1.0 - target_g)
-    m = min_correlation(angle_class)
-    margin = -target_g - float(-m)
-    nonclassical = Fraction(target_g) < m
-    return nonclassical, margin

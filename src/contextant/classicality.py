@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .angle_family import (
     G_SIGN_BOUNDARY,
-    AngleClass,
     RationalAngle,
     classify,
     g_of_delta,
@@ -30,9 +29,11 @@ COUNT_CAP = 20
 class ClassicalityVerdict:
     """Outcome of the hidden-variable decision for one family member.
 
+    min_corr is the exact classical minimum of the member's parity class.
     Classical verdicts carry a mixture witness reproducing the quantum
-    correlation exactly; nonclassical ones carry the violation certificate
-    (quantum value vs best hidden-variable value) and a positive margin.
+    correlation g exactly; a nonclassical verdict's certificate is g
+    against min_corr, which g lies below.  The margin is positive iff
+    nonclassical.
     """
 
     classical: bool
@@ -40,11 +41,9 @@ class ClassicalityVerdict:
     theta: float
     delta: float
     g: float
+    min_corr: Fraction
     angle: RationalAngle | None = None
-    angle_class: AngleClass | None = None
     witness: HiddenVariableModel | None = None
-    quantum_value: float | None = None
-    best_hv_value: float | None = None
     note: str = ""
 
     @property
@@ -55,39 +54,25 @@ class ClassicalityVerdict:
 def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
     """Exact verdict for step angle 2*pi*p/q.
 
-    Nonnegative quantum correlation or even denominator: classical, with a
-    two-component mixture witness.  Odd denominator q = 2n+1: nonclassical
-    exactly when (2n-1)/(2n+1) < |g|, with the strict-inequality
-    convention (equality reproduces, hence classical).
+    Classical exactly when mixture_for_target reaches g, that is when g is
+    at least the closed-form minimum: -1 for even q, -(2n-1)/(2n+1) for
+    odd q = 2n+1 (equality reproduces, hence classical).  The witness is
+    that two-component mixture.  Raises ValueError for a classical member
+    whose q exceeds WITNESS_Q_MAX.
     """
     delta = angle.delta
-    theta = theta_of_delta(delta)
     g = g_of_delta(delta)
-    cls = classify(angle)
-    m = min_correlation(cls)
-
-    if g >= 0 or Fraction(g) >= m:
-        witness = mixture_for_target(g, angle)
-        return ClassicalityVerdict(
-            classical=True,
-            margin=-g - float(-m) if g < 0 else -(1.0 - g),
-            theta=theta,
-            delta=delta,
-            g=g,
-            angle=angle,
-            angle_class=cls,
-            witness=witness,
-        )
+    m = min_correlation(classify(angle))
+    witness = mixture_for_target(g, angle)
     return ClassicalityVerdict(
-        classical=False,
-        margin=-g - float(-m),
-        theta=theta,
+        classical=witness is not None,
+        margin=-g - float(-m) if g < 0 else -(1.0 - g),
+        theta=theta_of_delta(delta),
         delta=delta,
         g=g,
+        min_corr=m,
         angle=angle,
-        angle_class=cls,
-        quantum_value=g,
-        best_hv_value=float(m),
+        witness=witness,
     )
 
 
@@ -99,15 +84,13 @@ def decide_pair_family_generic() -> ClassicalityVerdict:
     exhibition, generic_witness_approximant builds a nearby
     even-denominator construction.
     """
-    from .angle_family import IRRATIONAL
-
     return ClassicalityVerdict(
         classical=True,
         margin=0.0,
         theta=float("nan"),
         delta=float("nan"),
         g=float("nan"),
-        angle_class=IRRATIONAL,
+        min_corr=Fraction(-1),
         note=(
             "irrational step: alternating assignment attains correlation -1; "
             "any target in [-1, 1] is reproducible by mixing with the "

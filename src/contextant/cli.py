@@ -18,6 +18,7 @@ import numpy as np
 from . import spin_algebra
 from .angle_family import (
     RationalAngle,
+    classify,
     delta_of_theta,
     g_of_theta,
     rational_approximants,
@@ -25,7 +26,6 @@ from .angle_family import (
 from .assignment_model import brute_force_min, min_correlation
 from .classicality import (
     VectorSet,
-    condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
     find_classical_neighbor,
@@ -46,6 +46,11 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
+
+# Largest verdict --q-max: a float near a rational with a large partial
+# quotient a has about a/2 best approximations below q ~ a * q', so the
+# approximant list, not only its search, grows with q_max.
+THETA_Q_MAX = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -106,64 +111,58 @@ def _family_fractions(q_max: int):
 
 
 def _row(pq: tuple[int, int]) -> dict:
+    """One scan row: p and q as ints, every other field formatted."""
     p, q = pq
     v = decide_pair_family(RationalAngle(p, q))
-    m = min_correlation(v.angle_class)
     return {
         "p": p,
         "q": q,
-        "delta_over_2pi": p / q,
-        "theta": v.theta,
-        "g": v.g,
-        "min_corr": float(m),
+        "delta_over_2pi": _fmt(p / q),
+        "theta": _fmt(v.theta),
+        "g": _fmt(v.g),
+        "min_corr": _fmt(float(v.min_corr)),
         "verdict": v.verdict,
-        "margin": v.margin,
+        "margin": _fmt(v.margin),
     }
 
 
 def cmd_scan(args) -> int:
-    rows = [_row(pq) for pq in _family_fractions(args.q_max)]
+    rows = map(_row, _family_fractions(args.q_max))
     if args.format == "csv":
-        out = [CSV_HEADER]
-        for r in rows:
-            out.append(
-                f"{r['p']},{r['q']},{_fmt(r['delta_over_2pi'])},"
-                f"{_fmt(r['theta'])},{_fmt(r['g'])},{_fmt(r['min_corr'])},"
-                f"{r['verdict']},{_fmt(r['margin'])}"
-            )
+        out = [CSV_HEADER, *(",".join(map(str, r.values())) for r in rows)]
         sys.stdout.write("\n".join(out) + "\n")
     else:
-        formatted = [
-            {
-                k: (_fmt(v) if isinstance(v, float) else v)
-                for k, v in r.items()
-            }
-            for r in rows
-        ]
-        sys.stdout.write(json.dumps(formatted, indent=2) + "\n")
+        sys.stdout.write(json.dumps(list(rows), indent=2) + "\n")
     return EXIT_OK
 
 
+def _decide(command: str, angle: RationalAngle):
+    """decide_pair_family(angle), or None after reporting on stderr that
+    the member is classical with q above the witness limit."""
+    try:
+        return decide_pair_family(angle)
+    except ValueError as e:
+        print(f"{command}: {e}", file=sys.stderr)
+        return None
+
+
 def _verdict_lines(v) -> list[str]:
-    lines = [f"verdict: {v.verdict}"]
-    if v.angle is not None:
-        lines.append(f"p/q: {v.angle.p}/{v.angle.q}")
-    lines += [
+    lines = [
+        f"verdict: {v.verdict}",
+        f"p/q: {v.angle.p}/{v.angle.q}",
         f"theta: {_fmt(v.theta)}",
         f"delta: {_fmt(v.delta)}",
         f"g: {_fmt(v.g)}",
         f"margin: {_fmt(v.margin)}",
     ]
-    if not v.classical:
-        lines.append(
-            f"certificate: quantum {_fmt(v.quantum_value)} vs "
-            f"best hidden-variable {_fmt(v.best_hv_value)}"
-        )
-    elif v.witness is not None:
+    if v.classical:
         parts = [f"weight {w} on ({a.signs})" for w, a in v.witness.components]
         lines.append("witness mixture: " + "; ".join(parts))
-    if v.note:
-        lines.append(f"note: {v.note}")
+    else:
+        lines.append(
+            f"certificate: quantum {_fmt(v.g)} vs "
+            f"best hidden-variable {_fmt(float(v.min_corr))}"
+        )
     return lines
 
 
@@ -181,7 +180,9 @@ def cmd_verdict(args) -> int:
         except ValueError as e:
             print(f"verdict: {e}", file=sys.stderr)
             return EXIT_USAGE
-        v = decide_pair_family(angle)
+        v = _decide("verdict", angle)
+        if v is None:
+            return EXIT_RESOURCE
         print("\n".join(_verdict_lines(v)))
         return EXIT_OK
     try:
@@ -225,9 +226,7 @@ def cmd_oracle(args) -> int:
     print(f"p/q: {args.p}/{args.q}")
     print(f"min correlation: {corr} = {_fmt(float(corr))}")
     print(f"minimizer: ({assignment.signs})")
-    closed = min_correlation(
-        decide_pair_family(angle).angle_class
-    )
+    closed = min_correlation(classify(angle))
     print(f"closed form: {closed} ({'agree' if closed == corr else 'DISAGREE'})")
     return EXIT_OK if closed == corr else EXIT_CHECK_FAILED
 
@@ -270,7 +269,9 @@ def cmd_discontinuity(args) -> int:
     except ValueError as e:
         print(f"discontinuity: {e}", file=sys.stderr)
         return EXIT_USAGE
-    v = decide_pair_family(angle)
+    v = _decide("discontinuity", angle)
+    if v is None:
+        return EXIT_RESOURCE
     if v.classical:
         print(f"discontinuity: {args.p}/{args.q} is Classical; "
               "the probe needs a Nonclassical start", file=sys.stderr)
@@ -285,7 +286,9 @@ def cmd_discontinuity(args) -> int:
               f"closest achieved distance {_fmt(float(best_dist))}",
               file=sys.stderr)
         return EXIT_RESOURCE
-    v2 = decide_pair_family(found)
+    v2 = _decide("discontinuity", found)
+    if v2 is None:
+        return EXIT_RESOURCE
     print(f"nonclassical member: {args.p}/{args.q}")
     for line in _verdict_lines(v):
         print("  " + line)
@@ -324,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--theta", type=float)
-    p.add_argument("--q-max", type=_int_at_least_2, default=100)
+    p.add_argument("--q-max", default=100, type=_checked(
+        int, lambda n: 2 <= n <= THETA_Q_MAX, f"in [2, {THETA_Q_MAX}]"))
     p.add_argument("--tolerance", type=_finite_nonnegative_float, default=1e-2)
     p.set_defaults(func=cmd_verdict)
 

@@ -130,7 +130,8 @@ def test_criterion_5_classical_witness_exactness():
         assert v.witness.correlation() == Fraction(v.g)
         assert abs(float(v.witness.correlation()) - v.g) < 1e-12
         w = v.witness.components[0][0]
-        m = min_correlation(v.angle_class)
+        m = min_correlation(classify(v.angle))
+        assert v.min_corr == m
         assert w == (1 - Fraction(v.g)) / (1 - m)
         checked += 1
     assert checked > 0

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextant.angle_family import (
     IRRATIONAL,
     AngleClass,
     RationalAngle,
+    _best_approximations,
     classify,
     delta_of_theta,
     g_of_delta,
@@ -160,3 +163,54 @@ class TestRationalApproximants:
     def test_all_within_family_range(self):
         for a, _ in rational_approximants(2.2, 200):
             assert Fraction(1, 4) <= Fraction(a.p, a.q) <= Fraction(1, 2)
+
+
+def best_approximations_reference(x: Fraction, q_max: int) -> list[Fraction]:
+    """Reference: the search that tries every semiconvergent c = 1..a."""
+    out: list[Fraction] = []
+    # convergents h/k via the standard recurrence
+    a_list: list[int] = []
+    num, den = x.numerator, x.denominator
+    while den:
+        a = num // den
+        a_list.append(a)
+        num, den = den, num - a * den
+    h_prev, k_prev = 1, 0
+    h, k = a_list[0], 1
+    out.append(Fraction(h, k))
+    for i in range(1, len(a_list)):
+        a = a_list[i]
+        # semiconvergents c*h + h_prev for c = 1..a; the c = a case is the
+        # next convergent
+        for c in range(1, a + 1):
+            hn, kn = c * h + h_prev, c * k + k_prev
+            if kn > q_max:
+                return out
+            cand = Fraction(hn, kn)
+            # a semiconvergent is a best approximation iff it beats the
+            # previous convergent; check directly
+            if abs(cand - x) < abs(Fraction(h, k) - x) or cand == x:
+                out.append(cand)
+        h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
+    return out
+
+
+# floats just off a fraction with a small denominator have one huge
+# partial quotient, the case where the loop's start matters
+near_rational = st.builds(
+    lambda f, e, sign: float(f) + sign * 10.0**e,
+    st.fractions(Fraction(1, 40), 1, max_denominator=40),
+    st.floats(-16.0, -2.0),
+    st.sampled_from([-1, 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.floats(0.01, 1.0), near_rational),
+       q_max=st.integers(1, 5000))
+@example(x=0.9553166181245094, q_max=5000)
+@example(x=1 / 3 + 1e-4, q_max=5000)  # a = 2500: c = a/2 reaches q_max
+@example(x=0.5, q_max=1)
+def test_best_approximations_match_full_semiconvergent_loop(x, q_max):
+    xf = Fraction(x)
+    assert _best_approximations(xf, q_max) == best_approximations_reference(xf, q_max)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from contextant._kernel import Q_MAX
 from contextant.angle_family import AngleClass, RationalAngle, classify, orbit_cycle
 from contextant.assignment_model import (
+    WITNESS_Q_MAX,
     CycleAssignment,
     ExclusivityError,
     HiddenVariableModel,
@@ -18,7 +19,6 @@ from contextant.assignment_model import (
     min_correlation,
     mixture_for_target,
     optimal_assignment,
-    overlap_condition,
     uniform_assignment,
 )
 
@@ -247,33 +247,41 @@ class TestMixtureForTarget:
             HiddenVariableModel(((Fraction(1, 2), a),))
 
 
-class TestOverlapCondition:
-    def test_kcbs_nonclassical(self):
-        nonclassical, margin = overlap_condition(
-            -0.7888543819998316, AngleClass("odd", 2)
-        )
-        assert nonclassical
-        assert margin == pytest.approx(0.1888543819998316, abs=1e-12)
+class TestMixtureRule:
+    """mixture_for_target is where a target is compared with the minimum."""
 
-    def test_even_equality_is_classical(self):
-        nonclassical, margin = overlap_condition(-1.0, AngleClass("even", 1))
-        assert not nonclassical
-        assert margin == pytest.approx(0.0, abs=1e-15)
+    def test_kcbs_target_unreachable(self):
+        assert mixture_for_target(-0.7888543819998316, RationalAngle(2, 5)) is None
 
-    def test_positive_target_always_classical(self):
-        for cls in (AngleClass("odd", 3), AngleClass("even", 2), AngleClass("irrational")):
-            nonclassical, margin = overlap_condition(0.5, cls)
-            assert not nonclassical
-            assert margin <= 0
+    def test_even_equality_reachable(self):
+        model = mixture_for_target(-1.0, RationalAngle(1, 2))
+        assert model is not None
+        assert model.correlation() == -1
 
-    def test_equivalent_to_mixture_existence(self):
-        rng = np.random.default_rng(4)
-        for p, q in coprime_pairs(12):
-            angle = RationalAngle(p, q)
-            target = float(rng.uniform(-1, 1))
-            nonclassical, margin = overlap_condition(target, classify(angle))
-            assert nonclassical == (mixture_for_target(target, angle) is None)
-            assert nonclassical == (margin > 0)
+    def test_positive_target_always_reachable(self):
+        for p, q in [(2, 7), (3, 8), (1, 3), (1, 4)]:
+            model = mixture_for_target(0.5, RationalAngle(p, q))
+            assert model is not None
+            assert model.correlation() == Fraction(1, 2)
+
+    @given(
+        pq=st.sampled_from(list(coprime_pairs(60))),
+        t=st.floats(-1.0, 1.0),
+    )
+    def test_none_iff_below_minimum(self, pq, t):
+        angle = RationalAngle(*pq)
+        model = mixture_for_target(t, angle)
+        assert (model is None) == (Fraction(t) < min_correlation(classify(angle)))
+        if model is not None:
+            assert model.correlation() == Fraction(t)
+
+    def test_witness_limit(self):
+        """Above WITNESS_Q_MAX a reachable target is refused before any
+        assignment is built; an unreachable one still returns None."""
+        angle = RationalAngle(5_000_000, WITNESS_Q_MAX + 1)
+        assert mixture_for_target(-1.0, angle) is None
+        with pytest.raises(ValueError, match="witness limit"):
+            mixture_for_target(0.5, angle)
 
 
 def test_continuum_integral_matches_cycle_correlation():

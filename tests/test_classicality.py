@@ -4,10 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contextant.angle_family import RationalAngle, classify, g_of_delta
+from contextant.angle_family import G_SIGN_BOUNDARY, RationalAngle, g_of_delta
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
     Coloring,
@@ -60,7 +60,7 @@ class TestDecidePairFamily:
         assert not v.classical
         assert v.margin == pytest.approx(0.18885438199983162, abs=1e-10)
         assert 5 * v.g == pytest.approx(5 - 4 * math.sqrt(5), abs=1e-9)
-        assert v.best_hv_value == pytest.approx(-0.6)
+        assert v.min_corr == Fraction(-3, 5)
 
     def test_one_third_classical(self):
         assert decide_pair_family(RationalAngle(1, 3)).classical
@@ -123,10 +123,16 @@ def linear_scan_neighbor(angle, eps_frac, q_max):
 
 
 @st.composite
-def odd_members(draw):
-    q = draw(st.integers(1, 30).map(lambda n: 2 * n + 1))
-    ps = [p for p, q2 in coprime_pairs(q) if q2 == q]
+def members(draw, q=st.integers(2, 2001)):
+    """A family member p/q with q drawn from the given strategy."""
+    q = draw(q)
+    ps = [p for p in range(-(-q // 4), q // 2 + 1) if math.gcd(p, q) == 1]
+    assume(ps)
     return RationalAngle(draw(st.sampled_from(ps)), q)
+
+
+def odd_members(n_max=30):
+    return members(st.integers(1, n_max).map(lambda n: 2 * n + 1))
 
 
 class TestFindClassicalNeighbor:
@@ -183,6 +189,26 @@ class TestConditionPThreshold:
             n = (q - 1) // 2
             v = decide_pair_family(RationalAngle(p, q))
             assert (not v.classical) == (p > condition_p_threshold(n)), (p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle=odd_members(n_max=1000))
+    @example(angle=RationalAngle(1, 3))  # the exact tie g = -1/3
+    @example(angle=RationalAngle(1000, 2001))  # n/(2n+1) at the top q
+    def test_threshold_characterizes_verdict_up_to_2001(self, angle):
+        v = decide_pair_family(angle)
+        nonclassical = angle.p > condition_p_threshold(angle.q // 2)
+        assert v.classical != nonclassical
+        assert (v.margin > 0) == nonclassical
+        assert v.min_corr == Fraction(-(angle.q - 2), angle.q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle=members())
+    def test_even_q_or_nonnegative_g_is_classical(self, angle):
+        assume(angle.q % 2 == 0 or angle.fraction < G_SIGN_BOUNDARY)
+        v = decide_pair_family(angle)
+        assert v.g >= 0 or angle.q % 2 == 0
+        assert v.classical and v.margin <= 0
+        assert v.witness.correlation() == Fraction(v.g)
 
 
 class TestAdmissiblePRange:

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from contextant._kernel import Q_MAX
+from contextant.assignment_model import WITNESS_Q_MAX
+from contextant.cli import THETA_Q_MAX
 
 
 def run_cli(*args):
@@ -53,6 +55,30 @@ class TestVerdict:
     def test_negative_tolerance_rejected(self):
         assert_usage_error(run_cli("verdict", "--theta", "0.9", "--tolerance", "-1"),
                            "--tolerance")
+
+    def test_theta_q_max_cap(self):
+        # delta/2pi within 1e-16 of 1/3: one partial quotient near 10^15
+        r = run_cli("verdict", "--theta", "0.9553166181245094",
+                    "--q-max", str(THETA_Q_MAX))
+        assert r.returncode == 0
+        assert "  1/3 (distance 0): Classical" in r.stdout
+        assert_usage_error(run_cli("verdict", "--theta", "0.9553166181245094",
+                                   "--q-max", str(THETA_Q_MAX + 1)), "--q-max")
+
+    @pytest.mark.parametrize("command", ["verdict", "discontinuity"])
+    def test_classical_member_above_witness_limit(self, command):
+        q = WITNESS_Q_MAX + 1
+        r = run_cli(command, "--p", str(q // 4 + 1), "--q", str(q),
+                    *(["--epsilon", "0.1"] if command == "discontinuity" else []))
+        assert r.returncode == 3
+        assert "witness limit" in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+    def test_nonclassical_member_above_witness_limit(self):
+        q = WITNESS_Q_MAX + 1
+        r = run_cli("verdict", "--p", str(q // 2), "--q", str(q))
+        assert r.returncode == 0
+        assert "verdict: Nonclassical" in r.stdout
 
 
 class TestScan:
