@@ -9,13 +9,17 @@ print the same bytes:
 - `scan` (CSV and JSON) and `verdict`, including the witness line, as
   printed when cycle assignments were stored as length-q sign tuples;
 - `verdict --theta`, as printed while the verdict record still carried
-  float copies of the classical minimum.
+  float copies of the classical minimum, and (at q_max 10^6, about 15,000
+  approximants) while every approximant still built its witness;
+- `scan --q-max 2000` CSV, as printed while every row still built its
+  witness; 28 MB, so only its sha256 is kept.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
 """
 
 import gzip
+import hashlib
 import math
 from pathlib import Path
 
@@ -42,7 +46,8 @@ CASES = {
     **{f"verdict_theta{t}_qmax{m}": (
         ["verdict", "--theta", t, "--q-max", m], 0, "out")
        for t, m in (("0.9", "100"), ("0.9553166181245094", "1000"),
-                    ("0.8382831191721175", "1000"))},
+                    ("0.8382831191721175", "1000"),
+                    ("0.9553071274786897", "1000000"))},
     "discontinuity_2_5_eps1e-6": (
         ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "1e-6",
          "--q-max", "10000000"], 0, "out"),
@@ -75,3 +80,11 @@ def test_output_matches_golden_file(name, capsys):
     captured = capsys.readouterr()
     text = captured.out if stream == "out" else captured.err
     assert text.encode("utf-8") == golden(name, stream)
+
+
+def test_scan_qmax2000_csv_matches_digest(capsys):
+    assert main(["scan", "--q-max", "2000"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (out.count(b"\n"), len(out)) == (304_142, 27_948_636)
+    assert hashlib.sha256(out).hexdigest() == (
+        "7658c077a57ef41d4cc3f3e8aa1f9a4309a94b687cffaa59b90a9ff5e94d0b67")
