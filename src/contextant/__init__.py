@@ -36,6 +36,7 @@ from .classicality import (
     condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
+    decide_row,
     ks_colorability,
     single_observable_model,
     triples_violation_fraction,
@@ -71,6 +72,7 @@ __all__ = [
     "cycle_correlation",
     "decide_pair_family",
     "decide_pair_family_generic",
+    "decide_row",
     "delta_of_theta",
     "dichotomic",
     "direction_from_angles",

@@ -24,6 +24,14 @@ from .spin_algebra import Direction
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
 
+# Half-width of the band around float(m) inside which decide_row defers to
+# the exact rule.  float(m) is within 2^-53 of the exact minimum m (|m| <= 1),
+# so whenever |g - float(m)| > GUARD the float test g > float(m) and the
+# exact test Fraction(g) >= m give the same verdict.
+GUARD = 1e-12
+
+VERDICT = ("Nonclassical", "Classical")  # indexed by the classical flag
+
 
 @dataclass(frozen=True)
 class ClassicalityVerdict:
@@ -48,7 +56,13 @@ class ClassicalityVerdict:
 
     @property
     def verdict(self) -> str:
-        return "Classical" if self.classical else "Nonclassical"
+        return VERDICT[self.classical]
+
+
+def _margin(g: float, m_f: float) -> float:
+    """How far g lies below the minimum m_f for negative g, g - 1
+    otherwise; positive iff nonclassical."""
+    return m_f - g if g < 0 else -(1.0 - g)
 
 
 def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
@@ -66,7 +80,7 @@ def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
     witness = mixture_for_target(g, angle)
     return ClassicalityVerdict(
         classical=witness is not None,
-        margin=-g - float(-m) if g < 0 else -(1.0 - g),
+        margin=_margin(g, float(m)),
         theta=theta_of_delta(delta),
         delta=delta,
         g=g,
@@ -74,6 +88,26 @@ def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
         angle=angle,
         witness=witness,
     )
+
+
+def decide_row(p: int, q: int, m_f: float) -> tuple[bool, float, float, float]:
+    """(classical, margin, theta, g) of decide_pair_family(RationalAngle(p, q)),
+    bit for bit, without building the witness.
+
+    p/q must be reduced and in [1/4, 1/2] (not checked), and m_f must be
+    float(m) for the exact minimum m of q's parity class.  The member is
+    Classical iff g > m_f.  Error bound: m_f is within 2^-53 of m, so when
+    |g - m_f| > GUARD this is the exact rule Fraction(g) >= m of
+    mixture_for_target.  Rows inside the band are decided by
+    decide_pair_family itself; for q <= 10000 those are exactly the Niven
+    ties 1/2 and 1/3 (the nearest other row is 5.9e-9 away).
+    """
+    delta = 2.0 * math.pi * p / q  # RationalAngle.delta
+    g = g_of_delta(delta)
+    if abs(g - m_f) <= GUARD:
+        v = decide_pair_family(RationalAngle(p, q))
+        return v.classical, v.margin, v.theta, v.g
+    return g > m_f, _margin(g, m_f), theta_of_delta(delta), g
 
 
 def decide_pair_family_generic() -> ClassicalityVerdict:

@@ -25,9 +25,11 @@ from .angle_family import (
 )
 from .assignment_model import brute_force_min, min_correlation
 from .classicality import (
+    VERDICT,
     VectorSet,
     decide_pair_family,
     decide_pair_family_generic,
+    decide_row,
     find_classical_neighbor,
     ks_colorability,
 )
@@ -102,37 +104,43 @@ def _vector_file(path: str) -> list[spin_algebra.Direction]:
     return vecs
 
 
-def _family_fractions(q_max: int):
-    """Reduced p/q in [1/4, 1/2], q = 2..q_max, ascending q then p."""
+def _scan_chunks(q_max: int):
+    """CSV lines of the scan table, one list per denominator q = 2..q_max
+    that has rows: reduced p/q in [1/4, 1/2], ascending p."""
     for q in range(2, q_max + 1):
-        for p in range(-(-q // 4), q // 2 + 1):
-            if math.gcd(p, q) == 1:
-                yield p, q
+        ps = [p for p in range(-(-q // 4), q // 2 + 1) if math.gcd(p, q) == 1]
+        if not ps:
+            continue
+        m_f = float(min_correlation(classify(RationalAngle(ps[0], q))))
+        m_text = _fmt(m_f)
+        lines = []
+        for p in ps:
+            classical, margin, theta, g = decide_row(p, q, m_f)
+            lines.append(f"{p},{q},{p / q:.12g},{theta:.12g},{g:.12g},{m_text},"
+                         f"{VERDICT[classical]},{margin:.12g}")
+        yield lines
 
 
-def _row(pq: tuple[int, int]) -> dict:
-    """One scan row: p and q as ints, every other field formatted."""
-    p, q = pq
-    v = decide_pair_family(RationalAngle(p, q))
-    return {
-        "p": p,
-        "q": q,
-        "delta_over_2pi": _fmt(p / q),
-        "theta": _fmt(v.theta),
-        "g": _fmt(v.g),
-        "min_corr": _fmt(float(v.min_corr)),
-        "verdict": v.verdict,
-        "margin": _fmt(v.margin),
-    }
+def _json_row(line: str) -> str:
+    """One CSV line as an element of the indented JSON list."""
+    row = dict(zip(CSV_HEADER.split(","), line.split(",")))
+    row["p"], row["q"] = int(row["p"]), int(row["q"])
+    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
 
 
 def cmd_scan(args) -> int:
-    rows = map(_row, _family_fractions(args.q_max))
+    """Write the table one denominator at a time; memory stays flat."""
+    write = sys.stdout.write
     if args.format == "csv":
-        out = [CSV_HEADER, *(",".join(map(str, r.values())) for r in rows)]
-        sys.stdout.write("\n".join(out) + "\n")
+        write(CSV_HEADER + "\n")
+        for lines in _scan_chunks(args.q_max):
+            write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(list(rows), indent=2) + "\n")
+        sep = "[\n"
+        for lines in _scan_chunks(args.q_max):
+            write(sep + ",\n".join(map(_json_row, lines)))
+            sep = ",\n"
+        write("\n]\n")
     return EXIT_OK
 
 
@@ -206,9 +214,10 @@ def cmd_verdict(args) -> int:
     if not approx:
         print("  (none)")
     for a, d in approx:
-        v = decide_pair_family(a)
-        print(f"  {a.p}/{a.q} (distance {_fmt(d)}): {v.verdict}, "
-              f"margin {_fmt(v.margin)}")
+        classical, margin, _, _ = decide_row(
+            a.p, a.q, float(min_correlation(classify(a))))
+        print(f"  {a.p}/{a.q} (distance {_fmt(d)}): {VERDICT[classical]}, "
+              f"margin {_fmt(margin)}")
     return EXIT_OK
 
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contextant.angle_family import G_SIGN_BOUNDARY, RationalAngle, g_of_delta
+import contextant.classicality
+from contextant.angle_family import (
+    G_SIGN_BOUNDARY,
+    RationalAngle,
+    classify,
+    g_of_delta,
+)
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
     Coloring,
@@ -16,6 +22,7 @@ from contextant.classicality import (
     condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
+    decide_row,
     find_classical_neighbor,
     generic_witness_approximant,
     ks_colorability,
@@ -151,6 +158,46 @@ class TestFindClassicalNeighbor:
         assert find_classical_neighbor(angle, eps_frac, q_max) == (
             linear_scan_neighbor(angle, eps_frac, q_max)
         )
+
+
+def row_of(angle):
+    return decide_row(angle.p, angle.q, float(min_correlation(classify(angle))))
+
+
+def same_bits(row, v):
+    """decide_row's tuple against the verdict, floats compared bit for bit."""
+    return row[0] is v.classical and [x.hex() for x in row[1:]] == [
+        x.hex() for x in (v.margin, v.theta, v.g)]
+
+
+class TestDecideRow:
+    def test_matches_verdict_bitwise_up_to_300(self):
+        for p, q in coprime_pairs(300):
+            angle = RationalAngle(p, q)
+            assert same_bits(row_of(angle), decide_pair_family(angle)), (p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(angle=members(st.integers(2, 10_000)))
+    @example(angle=RationalAngle(1, 2))
+    @example(angle=RationalAngle(1, 3))
+    @example(angle=RationalAngle(1, 4))
+    @example(angle=RationalAngle(2938, 5925))  # the nearest non-tie, 5.9e-9
+    def test_matches_verdict_bitwise_up_to_10000(self, angle):
+        assert same_bits(row_of(angle), decide_pair_family(angle))
+
+    def test_guard_band_admits_only_the_niven_ties_up_to_2000(self, monkeypatch):
+        exact = []
+
+        def recording(angle):
+            exact.append((angle.p, angle.q))
+            return decide_pair_family(angle)
+
+        monkeypatch.setattr(contextant.classicality, "decide_pair_family", recording)
+        for q in range(2, 2001):
+            for p in range(-(-q // 4), q // 2 + 1):
+                if math.gcd(p, q) == 1:
+                    row_of(RationalAngle(p, q))
+        assert exact == [(1, 2), (1, 3)]
 
 
 class TestGenericVerdict:

@@ -6,7 +6,7 @@ import pytest
 
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import WITNESS_Q_MAX
-from contextant.cli import THETA_Q_MAX
+from contextant.cli import THETA_Q_MAX, main
 
 
 def run_cli(*args):
@@ -117,6 +117,23 @@ class TestScan:
         r = run_cli("scan", "--q-max", "5", "--format", "json")
         rows = json.loads(r.stdout)
         assert rows[0]["p"] == 1 and rows[0]["q"] == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streams_one_write_per_denominator(self, fmt, monkeypatch):
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(len(text))
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["scan", "--q-max", "300", "--format", fmt]) == 0
+        denominators = sum(
+            any(math.gcd(p, q) == 1 for p in range(-(-q // 4), q // 2 + 1))
+            for q in range(2, 301))
+        # the header (CSV) or the closing bracket (JSON) is the extra write
+        assert len(writes) == denominators + 1
+        assert max(writes) < sum(writes) / 50
 
     def test_deterministic_across_runs(self):
         a = run_cli("scan", "--q-max", "64").stdout
