@@ -12,7 +12,10 @@ print the same bytes:
   float copies of the classical minimum, and (at q_max 10^6, about 15,000
   approximants) while every approximant still built its witness;
 - `scan --q-max 2000` CSV, as printed while every row still built its
-  witness; 28 MB, so only its sha256 is kept.
+  witness; 28 MB, so only its sha256 is kept;
+- `scan --q-max 2000 --format json`, as printed while each element was
+  the indented `json.dumps` of the row; 69 MB, so only its sha256 is
+  kept.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -88,3 +91,11 @@ def test_scan_qmax2000_csv_matches_digest(capsys):
     assert (out.count(b"\n"), len(out)) == (304_142, 27_948_636)
     assert hashlib.sha256(out).hexdigest() == (
         "7658c077a57ef41d4cc3f3e8aa1f9a4309a94b687cffaa59b90a9ff5e94d0b67")
+
+
+def test_scan_qmax2000_json_matches_digest(capsys):
+    assert main(["scan", "--q-max", "2000", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (out.count(b"\n"), len(out)) == (3_041_412, 69_007_623)
+    assert hashlib.sha256(out).hexdigest() == (
+        "cd4731ede5810603c37f2e4397cf7b7ef6420a08e005a8010c64fcf1a9339849")
