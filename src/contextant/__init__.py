@@ -8,13 +8,11 @@ discontinuous function of the angle.
 
 from .angle_family import (
     AngleClass,
-    OrbitCycle,
     RationalAngle,
     classify,
     delta_of_theta,
     g_of_delta,
     g_of_theta,
-    orbit_cycle,
     rational_approximants,
     theta_of_delta,
 )
@@ -32,14 +30,11 @@ from .classicality import (
     ClassicalityVerdict,
     Coloring,
     VectorSet,
-    admissible_p_range,
     condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
     decide_row,
     ks_colorability,
-    single_observable_model,
-    triples_violation_fraction,
 )
 from .spin_algebra import (
     Direction,
@@ -61,10 +56,8 @@ __all__ = [
     "CycleAssignment",
     "Direction",
     "HiddenVariableModel",
-    "OrbitCycle",
     "RationalAngle",
     "VectorSet",
-    "admissible_p_range",
     "brute_force_min",
     "classify",
     "commutator_norm",
@@ -84,12 +77,9 @@ __all__ = [
     "minus_one_eigenprojector",
     "mixture_for_target",
     "optimal_assignment",
-    "orbit_cycle",
     "rational_approximants",
-    "single_observable_model",
     "spin_operator",
     "theta_of_delta",
     "triple_product_check",
-    "triples_violation_fraction",
     "uniform_assignment",
 ]

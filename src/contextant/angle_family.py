@@ -2,8 +2,8 @@
 
 The compatibility angle between successive measurement directions at tilt
 theta, its inverse, the quantum pair correlation g, exact rational-angle
-representation with parity classification, the step-orbit cycle structure,
-and best rational approximation of a float angle.
+representation with parity classification, and best rational approximation
+of a float angle.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ THETA_MIN = math.pi / 4
 THETA_MAX = math.pi / 2
 DELTA_MIN = math.pi / 2
 DELTA_MAX = math.pi
-
-# Fraction delta/2pi below which g >= 0 and the uniform assignment suffices;
-# equals acos(-1/3)/2pi, the theta = pi/3 boundary.
-G_SIGN_BOUNDARY = math.acos(-1.0 / 3.0) / (2.0 * math.pi)
 
 _EPS = 1e-12
 
@@ -90,23 +86,17 @@ class RationalAngle:
 
 @dataclass(frozen=True)
 class AngleClass:
-    """Parity class of a step angle: even denominator, odd denominator, or
-    irrational.  The irrational class is only produced for symbolic inputs,
-    never inferred from a float."""
+    """Parity class of a step angle: even denominator q = 2n or odd
+    denominator q = 2n+1."""
 
-    parity: str  # "even" | "odd" | "irrational"
-    n: int | None = None
+    parity: str  # "even" | "odd"
+    n: int
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd", "irrational"):
+        if self.parity not in ("even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
-        if self.parity == "irrational" and self.n is not None:
-            raise ValueError("irrational class carries no n")
-        if self.parity != "irrational" and (self.n is None or self.n < 1):
-            raise ValueError("rational class requires n >= 1")
-
-
-IRRATIONAL = AngleClass("irrational")
+        if self.n < 1:
+            raise ValueError("parity class requires n >= 1")
 
 
 def classify(angle: RationalAngle) -> AngleClass:
@@ -114,33 +104,6 @@ def classify(angle: RationalAngle) -> AngleClass:
     if angle.q % 2 == 0:
         return AngleClass("even", angle.q // 2)
     return AngleClass("odd", angle.q // 2)
-
-
-@dataclass(frozen=True)
-class OrbitCycle:
-    """The q-cycle traced by repeated steps of 2*pi*p/q.
-
-    Position k along the cycle sits on arc k*p mod q, where the circle is
-    split into q arcs of width 2*pi/q with arc j = [2*pi*j/q, 2*pi*(j+1)/q).
-    Coprimality makes the position-to-arc map a bijection.
-    """
-
-    q: int
-    step: int
-
-    def arc_of_position(self, k: int) -> int:
-        return (k * self.step) % self.q
-
-    def arcs(self) -> tuple[int, ...]:
-        return tuple(self.arc_of_position(k) for k in range(self.q))
-
-    @property
-    def arc_width(self) -> float:
-        return 2.0 * math.pi / self.q
-
-
-def orbit_cycle(angle: RationalAngle) -> OrbitCycle:
-    return OrbitCycle(q=angle.q, step=angle.p)
 
 
 def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:

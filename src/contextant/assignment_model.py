@@ -79,8 +79,8 @@ def cycle_correlation(a: CycleAssignment) -> Fraction:
 
 def min_correlation(angle_class: AngleClass) -> Fraction:
     """Closed-form minimum of the normalized correlation over admissible
-    assignments: -1 for irrational or even-denominator angles,
-    -(2n-1)/(2n+1) for odd denominator q = 2n+1."""
+    assignments: -1 for even denominator q = 2n, -(2n-1)/(2n+1) for odd
+    denominator q = 2n+1."""
     if angle_class.parity == "odd":
         n = angle_class.n
         return Fraction(-(2 * n - 1), 2 * n + 1)

@@ -1,5 +1,6 @@
-"""Verdict engine for the pair family, plus the trivial single-observable
-model and the finite Kochen-Specker colorability search."""
+"""Verdict engine for the pair family, the classical-neighbour search of
+the discontinuity probe, and the finite Kochen-Specker colorability
+search."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .angle_family import (
-    G_SIGN_BOUNDARY,
     RationalAngle,
     classify,
     g_of_delta,
@@ -114,9 +114,7 @@ def decide_pair_family_generic() -> ClassicalityVerdict:
     """Verdict for any irrational step fraction: classical.
 
     The alternating assignment along the infinite orbit reaches
-    correlation -1, so every quantum value is reproducible.  For
-    exhibition, generic_witness_approximant builds a nearby
-    even-denominator construction.
+    correlation -1, so every quantum value is reproducible.
     """
     return ClassicalityVerdict(
         classical=True,
@@ -131,32 +129,6 @@ def decide_pair_family_generic() -> ClassicalityVerdict:
             "uniform assignment"
         ),
     )
-
-
-def generic_witness_approximant(
-    delta: float, q_max: int = 100
-) -> tuple[RationalAngle, HiddenVariableModel]:
-    """Even-denominator rational near delta whose classical mixture
-    approximates the quantum correlation of delta itself."""
-    g = g_of_delta(delta)
-    best: tuple[float, RationalAngle] | None = None
-    for q in range(2, q_max + 1, 2):
-        p = round(delta / (2.0 * math.pi) * q)
-        if math.gcd(p, q) != 1:
-            continue
-        try:
-            cand = RationalAngle(p, q)
-        except ValueError:
-            continue
-        d = abs(delta / (2.0 * math.pi) - p / q)
-        if best is None or d < best[0]:
-            best = (d, cand)
-    if best is None:
-        raise ValueError("no even-denominator approximant found")
-    angle = best[1]
-    witness = mixture_for_target(max(-1.0, min(1.0, g)), angle)
-    assert witness is not None  # even denominator reaches -1
-    return angle, witness
 
 
 def find_classical_neighbor(
@@ -206,45 +178,6 @@ def condition_p_threshold(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (2 * n + 1) / (2.0 * math.pi) * math.acos(-n / (n + 1))
-
-
-def admissible_p_range(n: int) -> range:
-    """Integers p with acos(-1/3)/2pi < p/(2n+1) <= 1/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = 2 * n + 1
-    low = math.floor(G_SIGN_BOUNDARY * q) + 1
-    return range(low, n + 1)
-
-
-@dataclass(frozen=True)
-class ProductAssignmentModel:
-    """Independent two-point +-1 distribution per direction.
-
-    Reproduces any set of single-observable expectations; by construction
-    it never looks at pair correlations.
-    """
-
-    directions: tuple[Direction, ...]
-    plus_probability: tuple[float, ...]
-
-    def expectation(self, index: int) -> float:
-        p = self.plus_probability[index]
-        return p - (1.0 - p)
-
-
-def single_observable_model(
-    directions: list[Direction], expectations: list[float]
-) -> ProductAssignmentModel:
-    """Hidden-variable model matching each single expectation exactly."""
-    if len(directions) != len(expectations):
-        raise ValueError("directions and expectations must have equal length")
-    probs = []
-    for e in expectations:
-        if not -1.0 <= e <= 1.0:
-            raise ValueError(f"expectation {e!r} outside [-1, 1]")
-        probs.append((1.0 + e) / 2.0)
-    return ProductAssignmentModel(tuple(directions), tuple(probs))
 
 
 @dataclass
@@ -365,42 +298,3 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     assert _valid(list(coloring.values), vset, mode)
     return ColorabilityResult(True, coloring, count if do_count else None)
 
-
-def triples_violation_fraction(vset: VectorSet) -> float:
-    """Max over relaxed colorings of the fraction of complete orthogonal
-    triples whose value product is -1.  Equals 1 iff a strict coloring
-    exists; below 1 it quantifies the finite-set gap against the quantum
-    value -1 for every triple."""
-    if not vset.triples:
-        raise ValueError("vector set contains no complete orthogonal triple")
-    n = len(vset.vectors)
-    if n > COUNT_CAP:
-        raise ValueError(f"exhaustive search capped at {COUNT_CAP} vectors")
-    neighbors = [[] for _ in range(n)]
-    for i, j in vset.pairs:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
-    best = 0.0
-    total = len(vset.triples)
-    values = [0] * n
-
-    def search(i: int) -> None:
-        nonlocal best
-        if i == n:
-            hit = sum(
-                1
-                for a, b, c in vset.triples
-                if values[a] * values[b] * values[c] == -1
-            )
-            best = max(best, hit / total)
-            return
-        for v in (1, -1):
-            if v == -1 and any(values[j] == -1 for j in neighbors[i]):
-                continue
-            values[i] = v
-            search(i + 1)
-            values[i] = 0
-
-    search(0)
-    return best

@@ -50,9 +50,6 @@ class Direction:
     def __neg__(self) -> "Direction":
         return Direction(-self.x, -self.y, -self.z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def direction_from_angles(theta: float, phi: float) -> Direction:
     """Unit vector (cos(phi) sin(theta), sin(phi) sin(theta), cos(theta))."""

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextant.angle_family import (
-    IRRATIONAL,
     AngleClass,
     RationalAngle,
     _best_approximations,
@@ -15,7 +14,6 @@ from contextant.angle_family import (
     delta_of_theta,
     g_of_delta,
     g_of_theta,
-    orbit_cycle,
     rational_approximants,
     theta_of_delta,
 )
@@ -110,29 +108,6 @@ class TestRationalAngle:
         assert classify(RationalAngle(2, 5)) == AngleClass("odd", 2)
         assert classify(RationalAngle(1, 2)) == AngleClass("even", 1)
         assert classify(RationalAngle(1, 3)) == AngleClass("odd", 1)
-
-    def test_irrational_is_distinct(self):
-        assert IRRATIONAL.parity == "irrational"
-        assert IRRATIONAL != AngleClass("odd", 1)
-
-
-class TestOrbitCycle:
-    def test_pentagram(self):
-        cyc = orbit_cycle(RationalAngle(2, 5))
-        assert cyc.arcs() == (0, 2, 4, 1, 3)
-
-    def test_half(self):
-        assert orbit_cycle(RationalAngle(1, 2)).arcs() == (0, 1)
-
-    def test_bijective_for_all_small_q(self):
-        for p, q in coprime_pairs(64):
-            cyc = orbit_cycle(RationalAngle(p, q))
-            assert sorted(cyc.arcs()) == list(range(q))
-
-    def test_arc_width(self):
-        assert orbit_cycle(RationalAngle(2, 5)).arc_width == pytest.approx(
-            2 * math.pi / 5
-        )
 
 
 class TestRationalApproximants:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contextant._kernel import Q_MAX
-from contextant.angle_family import AngleClass, RationalAngle, classify, orbit_cycle
+from contextant.angle_family import AngleClass, RationalAngle, classify
 from contextant.assignment_model import (
     WITNESS_Q_MAX,
     CycleAssignment,
@@ -132,9 +132,6 @@ class TestMinCorrelation:
     def test_even(self):
         assert min_correlation(AngleClass("even", 1)) == Fraction(-1)
         assert min_correlation(AngleClass("even", 10)) == Fraction(-1)
-
-    def test_irrational(self):
-        assert min_correlation(AngleClass("irrational")) == Fraction(-1)
 
 
 class TestOptimalAssignment:
@@ -289,12 +286,13 @@ def test_continuum_integral_matches_cycle_correlation():
     with the exact cycle correlation."""
     for p, q in [(2, 5), (1, 4), (3, 7), (5, 12)]:
         angle = RationalAngle(p, q)
-        cyc = orbit_cycle(angle)
         corr, a = brute_force_min(angle)
-        # value on arc j = value at the cycle position occupying arc j
+        # value on arc j = value at the cycle position k occupying it: the
+        # k-th step of 2*pi*p/q lands on arc k*p mod q, a bijection for
+        # coprime p and q
         value_of_arc = [0] * q
         for k in range(q):
-            value_of_arc[cyc.arc_of_position(k)] = a.values[k]
+            value_of_arc[k * p % q] = a.values[k]
 
         def f(phi):
             j = int((phi % (2 * math.pi)) / (2 * math.pi) * q) % q

@@ -8,26 +8,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contextant.classicality
-from contextant.angle_family import (
-    G_SIGN_BOUNDARY,
-    RationalAngle,
-    classify,
-    g_of_delta,
-)
+from contextant.angle_family import RationalAngle, classify
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
     Coloring,
     VectorSet,
-    admissible_p_range,
     condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
     decide_row,
     find_classical_neighbor,
-    generic_witness_approximant,
     ks_colorability,
-    single_observable_model,
-    triples_violation_fraction,
 )
 from contextant.spin_algebra import (
     Direction,
@@ -51,7 +42,7 @@ def coprime_pairs(q_max):
 
 def rotate(d, axis, angle):
     """Rodrigues rotation of direction d about a unit axis."""
-    v, k = d.as_array(), axis.as_array()
+    v, k = np.array([d.x, d.y, d.z]), np.array([axis.x, axis.y, axis.z])
     r = (
         v * math.cos(angle)
         + np.cross(k, v) * math.sin(angle)
@@ -206,14 +197,6 @@ class TestGenericVerdict:
         assert v.classical
         assert v.margin <= 0
 
-    def test_witness_approximant_close_in_g(self):
-        delta = 2 * math.pi / math.sqrt(7)
-        angle, witness = generic_witness_approximant(delta, q_max=100)
-        assert angle.q % 2 == 0
-        assert float(witness.correlation()) == pytest.approx(
-            g_of_delta(delta), abs=1e-2
-        )
-
 
 class TestConditionPThreshold:
     def test_n1_exact(self):
@@ -251,56 +234,13 @@ class TestConditionPThreshold:
     @settings(max_examples=300, deadline=None)
     @given(angle=members())
     def test_even_q_or_nonnegative_g_is_classical(self, angle):
-        assume(angle.q % 2 == 0 or angle.fraction < G_SIGN_BOUNDARY)
+        # delta/2pi below acos(-1/3)/2pi, the theta = pi/3 boundary, gives g >= 0
+        assume(angle.q % 2 == 0
+               or angle.fraction < math.acos(-1 / 3) / (2 * math.pi))
         v = decide_pair_family(angle)
         assert v.g >= 0 or angle.q % 2 == 0
         assert v.classical and v.margin <= 0
         assert v.witness.correlation() == Fraction(v.g)
-
-
-class TestAdmissiblePRange:
-    @pytest.mark.parametrize("n,expected", [(1, [1]), (2, [2]), (7, [5, 6, 7])])
-    def test_examples(self, n, expected):
-        assert list(admissible_p_range(n)) == expected
-
-    def test_subset_of_paper_window(self):
-        for n in range(1, 60):
-            r = list(admissible_p_range(n))
-            assert all(0.6 * n < p <= n for p in r)
-
-
-class TestSingleObservableModel:
-    def test_balanced(self):
-        m = single_observable_model([Z], [0.0])
-        assert m.plus_probability == (0.5,)
-        assert m.expectation(0) == 0.0
-
-    def test_deterministic(self):
-        m = single_observable_model([Z], [1.0])
-        assert m.expectation(0) == 1.0
-
-    def test_random_reproduction(self):
-        rng = np.random.default_rng(9)
-        dirs, exps = [], []
-        for _ in range(10):
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            dirs.append(Direction(*v))
-            exps.append(float(rng.uniform(-1, 1)))
-        m = single_observable_model(dirs, exps)
-        for i, e in enumerate(exps):
-            assert m.expectation(i) == pytest.approx(e, abs=1e-15)
-
-    def test_ignores_pair_consistency(self):
-        # both -1 on orthogonal directions is impossible for any
-        # pair-consistent model, yet the single-observable model accepts it
-        m = single_observable_model([X, Z], [-1.0, -1.0])
-        assert m.expectation(0) == -1.0
-        assert m.expectation(1) == -1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            single_observable_model([Z], [1.5])
 
 
 def enumerate_colorings(vset, mode):
@@ -364,32 +304,3 @@ class TestKsColorability:
         res = ks_colorability(vset, "strict")
         assert res.count == len(enumerate_colorings(vset, "strict"))
 
-
-class TestTriplesViolationFraction:
-    def test_single_basis(self):
-        assert triples_violation_fraction(VectorSet([X, Y, Z])) == 1.0
-
-    def test_requires_triples(self):
-        with pytest.raises(ValueError):
-            triples_violation_fraction(VectorSet([X, Y]))
-
-    def test_intertwined_bases_match_oracle(self):
-        # three bases pairwise sharing an axis
-        vecs = [X, Y, Z]
-        vecs += [rotate(d, Z, 0.8) for d in (X, Y)]
-        vecs += [rotate(d, X, 1.1) for d in (Y, Z)]
-        vset = VectorSet(vecs)
-        assert len(vset.triples) >= 3
-        got = triples_violation_fraction(vset)
-        total = len(vset.triples)
-        best = max(
-            sum(1 for a, b, c in vset.triples if v[a] * v[b] * v[c] == -1) / total
-            for v in enumerate_colorings(vset, "relaxed")
-        )
-        assert got == pytest.approx(best)
-        assert got == 1.0  # strict coloring exists for this small set
-
-    def test_strict_sat_iff_fraction_one(self):
-        vset = VectorSet([X, Y, Z])
-        assert ks_colorability(vset, "strict").satisfiable
-        assert triples_violation_fraction(vset) == 1.0
