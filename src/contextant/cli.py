@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantum-check", help="randomized operator-identity suite")
     p.add_argument("--samples", type=_checked(int, lambda n: n >= 1, ">= 1"),
                    default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"),
+                   default=42)
     p.set_defaults(func=cmd_quantum_check)
 
     p = sub.add_parser(

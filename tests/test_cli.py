@@ -177,6 +177,9 @@ class TestQuantumCheck:
     def test_bad_samples(self):
         assert run_cli("quantum-check", "--samples", "0").returncode == 2
 
+    def test_negative_seed_rejected(self):
+        assert_usage_error(run_cli("quantum-check", "--seed", "-5"), "--seed")
+
 
 class TestDiscontinuity:
     def test_pentagram_small_epsilon(self):
