@@ -8,7 +8,6 @@ codes: 0 success, 1 check failure, 2 argument error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -121,11 +120,24 @@ def _scan_chunks(q_max: int):
         yield lines
 
 
+# A scan row as an element of the indented JSON list, filled from the CSV
+# fields in CSV_HEADER order: p and q as numbers, the rest as strings.  The
+# fields are numbers and plain words, so none needs escaping.
+JSON_ROW = """  {{
+    "p": {},
+    "q": {},
+    "delta_over_2pi": "{}",
+    "theta": "{}",
+    "g": "{}",
+    "min_corr": "{}",
+    "verdict": "{}",
+    "margin": "{}"
+  }}"""
+
+
 def _json_row(line: str) -> str:
     """One CSV line as an element of the indented JSON list."""
-    row = dict(zip(CSV_HEADER.split(","), line.split(",")))
-    row["p"], row["q"] = int(row["p"]), int(row["q"])
-    return "  " + json.dumps(row, indent=2).replace("\n", "\n  ")
+    return JSON_ROW.format(*line.split(","))
 
 
 def cmd_scan(args) -> int:
