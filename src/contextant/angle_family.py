@@ -112,7 +112,7 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
     out: list[Fraction] = []
     # convergents h/k via the standard recurrence
     a_list: list[int] = []
-    num, den = x.numerator, x.denominator
+    xn, xd = num, den = x.numerator, x.denominator
     while den:
         a = num // den
         a_list.append(a)
@@ -125,15 +125,17 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
         # semiconvergents c*h + h_prev for c = a//2..a; the c = a case is
         # the next convergent.  One with c < a/2 never beats h/k, so the
         # loop costs about as much as the fractions it can return.
+        # A semiconvergent is a best approximation iff it beats the previous
+        # convergent; check directly in integers: |hn/kn - x| < |h/k - x|
+        # multiplied through by kn * k * xd > 0.
+        h_err = abs(h * xd - xn * k)
         for c in range(max(1, a // 2), a + 1):
             hn, kn = c * h + h_prev, c * k + k_prev
             if kn > q_max:
                 return out
-            cand = Fraction(hn, kn)
-            # a semiconvergent is a best approximation iff it beats the
-            # previous convergent; check directly
-            if abs(cand - x) < abs(Fraction(h, k) - x) or cand == x:
-                out.append(cand)
+            err = abs(hn * xd - xn * kn)
+            if err * k < h_err * kn or err == 0:
+                out.append(Fraction(hn, kn))
         h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
     return out
 
