@@ -127,14 +127,14 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
         # loop costs about as much as the fractions it can return.
         # A semiconvergent is a best approximation iff it beats the previous
         # convergent; check directly in integers: |hn/kn - x| < |h/k - x|
-        # multiplied through by kn * k * xd > 0.
+        # multiplied through by kn * k * xd > 0.  h/k is not the last
+        # convergent, so h_err > 0 and x itself passes.
         h_err = abs(h * xd - xn * k)
         for c in range(max(1, a // 2), a + 1):
             hn, kn = c * h + h_prev, c * k + k_prev
             if kn > q_max:
                 return out
-            err = abs(hn * xd - xn * kn)
-            if err * k < h_err * kn or err == 0:
+            if abs(hn * xd - xn * kn) * k < h_err * kn:
                 out.append(Fraction(hn, kn))
         h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
     return out
