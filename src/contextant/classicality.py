@@ -297,4 +297,3 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     coloring = Coloring(tuple(first))
     assert _valid(list(coloring.values), vset, mode)
     return ColorabilityResult(True, coloring, count if do_count else None)
-

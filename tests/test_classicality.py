@@ -303,4 +303,3 @@ class TestKsColorability:
         vset = VectorSet([X, Y, Z] + b2)
         res = ks_colorability(vset, "strict")
         assert res.count == len(enumerate_colorings(vset, "strict"))
-

@@ -8,4 +8,3 @@ def test_star_import_resolves_every_export():
     namespace = {}
     exec("from contextant import *", namespace)
     assert [name for name in contextant.__all__ if name not in namespace] == []
-
