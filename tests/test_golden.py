@@ -15,7 +15,10 @@ print the same bytes:
   witness; 28 MB, so only its sha256 is kept;
 - `scan --q-max 2000 --format json`, as printed while each element was
   the indented `json.dumps` of the row; 69 MB, so only its sha256 is
-  kept.
+  kept;
+- `ks-color` on Peres' 33 rays (`data/peres33.txt`, the unit vectors of
+  Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
+  them, as printed by the recursive backtracking search.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -99,3 +102,25 @@ def test_scan_qmax2000_json_matches_digest(capsys):
     assert (out.count(b"\n"), len(out)) == (3_041_412, 69_007_623)
     assert hashlib.sha256(out).hexdigest() == (
         "cd4731ede5810603c37f2e4397cf7b7ef6420a08e005a8010c64fcf1a9339849")
+
+
+# Peres' 33 rays, strict: UNSAT; without the last ray: SAT; a 10-ray subset
+# holding two triples, (0, 3, 16) and (0, 9, 31), few enough to count.
+PERES33 = DATA / "peres33.txt"
+SUBSET10 = (0, 1, 2, 3, 5, 8, 9, 10, 16, 31)
+KS_CASES = {
+    "ks_color_peres33_strict": (range(33), "strict"),
+    "ks_color_peres33_drop_last_strict": (range(32), "strict"),
+    "ks_color_peres33_subset10_strict": (SUBSET10, "strict"),
+    "ks_color_peres33_subset10_relaxed": (SUBSET10, "relaxed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KS_CASES))
+def test_ks_color_matches_golden_file(name, tmp_path, capsys):
+    rows, mode = KS_CASES[name]
+    rays = PERES33.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "rays.txt"
+    path.write_text("".join(rays[i] + "\n" for i in rows), encoding="utf-8")
+    assert main(["ks-color", str(path), "--mode", mode]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden(name, "out")
