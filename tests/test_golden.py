@@ -18,7 +18,9 @@ print the same bytes:
   kept;
 - `ks-color` on Peres' 33 rays (`data/peres33.txt`, the unit vectors of
   Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
-  them, as printed by the recursive backtracking search.
+  them, as printed by the recursive backtracking search;
+- `quantum-check`, as printed while the fixed state was rebuilt for every
+  sample.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -69,6 +71,8 @@ CASES = {
     "discontinuity_2_5_qmax100000_exit3": (
         ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "1e-6",
          "--q-max", "100000"], 3, "err"),
+    "quantum_check_200_42": (
+        ["quantum-check", "--samples", "200", "--seed", "42"], 0, "out"),
 }
 
 
