@@ -28,7 +28,6 @@ from .assignment_model import (
 )
 from .classicality import (
     ClassicalityVerdict,
-    Coloring,
     VectorSet,
     condition_p_threshold,
     decide_pair_family,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleClass",
     "ClassicalityVerdict",
-    "Coloring",
     "CycleAssignment",
     "Direction",
     "HiddenVariableModel",

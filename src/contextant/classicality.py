@@ -210,20 +210,13 @@ class VectorSet:
 
 
 @dataclass(frozen=True)
-class Coloring:
-    """+-1 value per vector; -1 marks the outcome singled out in a triple."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ColorabilityResult:
     satisfiable: bool
-    coloring: Coloring | None
+    coloring: tuple[int, ...] | None  # +-1 per vector; -1 = singled out
     count: int | None  # None when the set exceeds the counting cap
 
 
-def _valid(values: list[int], vset: VectorSet, mode: str) -> bool:
+def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:
     for i, j in vset.pairs:
         if values[i] == -1 and values[j] == -1:
             return False
@@ -240,60 +233,52 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     Strict mode: no orthogonal pair is (-1, -1) and every complete
     orthogonal triple has exactly one -1.  Relaxed mode: at most one -1
     per pair (and hence per triple).  Counts all colorings for sets of at
-    most 20 vectors.
+    most COUNT_CAP vectors.  Vectors are colored in index order, +1 before
+    -1, so the coloring returned is the first in that order.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
     n = len(vset.vectors)
-    neighbors = [[] for _ in range(n)]
+    # A -1 needs every earlier partner at +1.  The pair rule leaves at most
+    # one -1 per triple, so in strict mode a +1 needs only that each triple
+    # it completes already holds a -1.
+    earlier = [[] for _ in range(n)]
     for i, j in vset.pairs:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+        earlier[j].append(i)
+    completes = [[] for _ in range(n)]
+    if mode == "strict":
+        for i, j, k in vset.triples:
+            completes[k].append((i, j))
     do_count = n <= COUNT_CAP
 
     count = 0
-    first: list[int] | None = None
-    values = [0] * n  # 0 = unassigned
-
-    def feasible(i: int) -> bool:
-        # pair constraint against already-assigned neighbors
-        if values[i] == -1:
-            for j in neighbors[i]:
-                if values[j] == -1:
-                    return False
-        if mode == "strict":
-            # a fully assigned triple needs exactly one -1; a triple whose
-            # unassigned members cannot supply a -1 (all partners of an
-            # assigned -1) is checked at completion
-            for t in vset.triples:
-                if i in t:
-                    assigned = [values[v] for v in t]
-                    minus = assigned.count(-1)
-                    if minus > 1:
-                        return False
-                    if 0 not in assigned and minus != 1:
-                        return False
-        return True
-
-    def search(i: int) -> None:
-        nonlocal count, first
-        if i == n:
+    first: tuple[int, ...] | None = None
+    values = [0] * n  # 0 = unassigned; vectors j and beyond are unassigned
+    j = 0
+    while j >= 0:
+        if j == n:
             count += 1
             if first is None:
-                first = values.copy()
-            return
-        for v in (1, -1):
-            values[i] = v
-            if feasible(i):
-                search(i + 1)
-                if first is not None and not do_count:
-                    values[i] = 0
-                    return
-            values[i] = 0
+                first = tuple(values)
+                if not do_count:
+                    break
+            j -= 1
+        elif values[j] == 0:
+            values[j] = 1
+            if completes[j] and not all(
+                    values[a] == -1 or values[b] == -1 for a, b in completes[j]):
+                continue
+            j += 1
+        elif values[j] == 1:
+            values[j] = -1
+            if earlier[j] and not all(values[i] == 1 for i in earlier[j]):
+                continue
+            j += 1
+        else:
+            values[j] = 0
+            j -= 1
 
-    search(0)
     if first is None:
         return ColorabilityResult(False, None, 0 if do_count else None)
-    coloring = Coloring(tuple(first))
-    assert _valid(list(coloring.values), vset, mode)
-    return ColorabilityResult(True, coloring, count if do_count else None)
+    assert _valid(first, vset, mode)
+    return ColorabilityResult(True, first, count if do_count else None)

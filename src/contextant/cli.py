@@ -327,7 +327,7 @@ def cmd_ks_color(args) -> int:
     print(f"vectors: {len(vset.vectors)}  orthogonal pairs: {len(vset.pairs)}  "
           f"triples: {len(vset.triples)}")
     if result.satisfiable:
-        signs = "".join("+" if v == 1 else "-" for v in result.coloring.values)
+        signs = "".join("+" if v == 1 else "-" for v in result.coloring)
         print(f"SAT ({signs})")
     else:
         print("UNSAT")

@@ -168,7 +168,7 @@ def test_criterion_7_colorability_sanity():
     basis = VectorSet([X, Y, Z])
     res = ks_colorability(basis, "strict")
     assert res.satisfiable and res.count == 3
-    minus = [v == -1 for v in res.coloring.values]
+    minus = [v == -1 for v in res.coloring]
     assert sum(minus) == 1  # post-hoc: exactly one -1 in the triple
 
     angle = RationalAngle(2, 5)
@@ -177,7 +177,7 @@ def test_criterion_7_colorability_sanity():
     assert not pent.triples
     pres = ks_colorability(pent, "strict")
     assert pres.satisfiable
-    vals = pres.coloring.values
+    vals = pres.coloring
     for i, j in pent.pairs:
         assert not (vals[i] == -1 and vals[j] == -1)
     # NOTE: only finite witnesses are checked; the continuum no-coloring

@@ -11,7 +11,6 @@ import contextant.classicality
 from contextant.angle_family import RationalAngle, classify
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
-    Coloring,
     VectorSet,
     condition_p_threshold,
     decide_pair_family,
@@ -292,11 +291,12 @@ class TestKsColorability:
                 vecs.append(Direction(*v))
             for mode in ("strict", "relaxed"):
                 res = ks_colorability(VectorSet(vecs), mode)
+                # the oracle enumerates in the search's order: + before -
+                oracle = enumerate_colorings(VectorSet(vecs), mode)
+                assert res.satisfiable == bool(oracle)
+                assert res.count == len(oracle)
                 if res.satisfiable:
-                    assert isinstance(res.coloring, Coloring)
-                    assert res.coloring.values in set(
-                        enumerate_colorings(VectorSet(vecs), mode)
-                    )
+                    assert res.coloring == oracle[0]
 
     def test_count_matches_oracle(self):
         b2 = [rotate(d, X, 0.6) for d in (Y, Z)]

@@ -242,6 +242,16 @@ class TestKsColor:
     def test_bad_file(self):
         assert run_cli("ks-color", "/nonexistent/file.txt").returncode == 2
 
+    def test_many_vectors_without_pairs(self, tmp_path):
+        # directions within a cone about z: no orthogonal pair, so every
+        # vector is +1; the search takes one step per vector, not a frame
+        f = tmp_path / "vecs.txt"
+        f.write_text("".join(f"{math.cos(k)} {math.sin(k)} 2\n" for k in range(1200)))
+        r = run_cli("ks-color", str(f))
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout == ("vectors: 1200  orthogonal pairs: 0  triples: 0\n"
+                            f"SAT ({'+' * 1200})\n")
+
     def test_zero_vector_rejected(self, tmp_path):
         f = tmp_path / "vecs.txt"
         f.write_text("1 0 0\n0 0 0\n")
