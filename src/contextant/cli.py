@@ -323,7 +323,11 @@ def cmd_discontinuity(args) -> int:
 
 def cmd_ks_color(args) -> int:
     vset = VectorSet(args.vectors)
-    result = ks_colorability(vset, mode=args.mode)
+    try:
+        result = ks_colorability(vset, mode=args.mode)
+    except ValueError as e:
+        print(f"ks-color: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
     print(f"vectors: {len(vset.vectors)}  orthogonal pairs: {len(vset.pairs)}  "
           f"triples: {len(vset.triples)}")
     if result.satisfiable:

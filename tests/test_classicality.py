@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from contextant.spin_algebra import (
 X = Direction(1.0, 0.0, 0.0)
 Y = Direction(0.0, 1.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
+
+PERES33 = Path(__file__).parent / "data" / "peres33.txt"
 
 
 def coprime_pairs(q_max):
@@ -303,3 +306,13 @@ class TestKsColorability:
         vset = VectorSet([X, Y, Z] + b2)
         res = ks_colorability(vset, "strict")
         assert res.count == len(enumerate_colorings(vset, "strict"))
+
+    def test_step_budget(self, monkeypatch):
+        # Peres' 33 rays are UNSAT in strict mode after 43,812 loop steps
+        vset = VectorSet([Direction(*map(float, line.split()))
+                          for line in PERES33.read_text(encoding="utf-8").splitlines()])
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 43_812)
+        assert not ks_colorability(vset, "strict").satisfiable
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 43_811)
+        with pytest.raises(ValueError, match="43811 steps"):
+            ks_colorability(vset, "strict")

@@ -1,8 +1,11 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import contextant.classicality
 
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import WITNESS_Q_MAX
@@ -251,6 +254,13 @@ class TestKsColor:
         assert r.returncode == 0 and r.stderr == ""
         assert r.stdout == ("vectors: 1200  orthogonal pairs: 0  triples: 0\n"
                             f"SAT ({'+' * 1200})\n")
+
+    def test_step_budget_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 1000)
+        peres33 = Path(__file__).parent / "data" / "peres33.txt"
+        assert main(["ks-color", str(peres33)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "ks-color: coloring search exceeded 1000 steps\n"
 
     def test_zero_vector_rejected(self, tmp_path):
         f = tmp_path / "vecs.txt"
