@@ -254,6 +254,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_quantum_check(args) -> int:
     rng = np.random.default_rng(args.seed)
+    rho = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
     worst_comm = 0.0
     worst_g = 0.0
     for _ in range(args.samples):
@@ -263,7 +264,6 @@ def cmd_quantum_check(args) -> int:
         a = dichotomic(direction_from_angles(theta, phi))
         b = dichotomic(direction_from_angles(theta, phi + delta))
         worst_comm = max(worst_comm, commutator_norm(a, b))
-        rho = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
         val = expectation(rho, [a, b])
         worst_g = max(worst_g, abs(val - g_of_theta(theta)))
     worst_triple = 0.0
