@@ -53,6 +53,9 @@ CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
 # approximant list, not only its search, grows with q_max.
 THETA_Q_MAX = 1_000_000
 
+# Largest quantum-check --samples: about 10 s of operator algebra.
+QUANTUM_SAMPLES_MAX = 100_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -369,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("quantum-check", help="randomized operator-identity suite")
-    p.add_argument("--samples", type=_checked(int, lambda n: n >= 1, ">= 1"),
-                   default=1000)
+    p.add_argument("--samples", default=1000, type=_checked(
+        int, lambda n: 1 <= n <= QUANTUM_SAMPLES_MAX, f"in [1, {QUANTUM_SAMPLES_MAX}]"))
     p.add_argument("--seed", type=_checked(int, lambda n: n >= 0, ">= 0"),
                    default=42)
     p.set_defaults(func=cmd_quantum_check)

@@ -9,7 +9,7 @@ import contextant.classicality
 
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import WITNESS_Q_MAX
-from contextant.cli import THETA_Q_MAX, main
+from contextant.cli import QUANTUM_SAMPLES_MAX, THETA_Q_MAX, main
 
 
 def run_cli(*args):
@@ -179,6 +179,10 @@ class TestQuantumCheck:
 
     def test_bad_samples(self):
         assert run_cli("quantum-check", "--samples", "0").returncode == 2
+
+    def test_samples_cap(self):
+        assert QUANTUM_SAMPLES_MAX == 100_000
+        assert_usage_error(run_cli("quantum-check", "--samples", "100001"), "--samples")
 
     def test_negative_seed_rejected(self):
         assert_usage_error(run_cli("quantum-check", "--seed", "-5"), "--seed")
