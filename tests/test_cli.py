@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import contextant.classicality
-
+from contextant import angle_family, cli
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import WITNESS_Q_MAX
 from contextant.cli import QUANTUM_SAMPLES_MAX, THETA_Q_MAX, main
@@ -162,6 +163,13 @@ class TestOracle:
         assert r.returncode == 0
         assert "-3/5" in r.stdout and "agree" in r.stdout
 
+    def test_disagreement_exits_1_with_a_reason(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "min_correlation", lambda c: Fraction(0))
+        assert main(["oracle", "--p", "2", "--q", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("closed form: 0 (DISAGREE)\n")
+        assert err and "Traceback" not in err
+
     def test_resource_guard(self):
         # 40000 is coprime to Q_MAX + 1 = 100001 = 11 * 9091
         r = run_cli("oracle", "--p", "40000", "--q", str(Q_MAX + 1))
@@ -176,6 +184,14 @@ class TestQuantumCheck:
         assert a.returncode == 0
         assert "PASS" in a.stdout
         assert a.stdout == b.stdout
+
+    def test_failure_exits_1_with_a_reason(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "g_of_theta",
+                            lambda theta: angle_family.g_of_theta(theta) + 1e-6)
+        assert main(["quantum-check", "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("FAIL\n")
+        assert err and "Traceback" not in err
 
     def test_bad_samples(self):
         assert run_cli("quantum-check", "--samples", "0").returncode == 2
