@@ -24,7 +24,7 @@ from .spin_algebra import Direction
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
 # Loop steps of ks_colorability: counting COUNT_CAP unconstrained vectors
-# takes 4,194,301; refuting Peres' 33 rays, in any rotation, 43,812.
+# takes 4,194,301; refuting Peres' 33 rays, 43,812.
 KS_STEP_BUDGET = 10_000_000
 
 # Half-width of the band around float(m) inside which decide_row defers to

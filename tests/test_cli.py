@@ -267,7 +267,7 @@ class TestKsColor:
 
     def test_many_vectors_without_pairs(self, tmp_path):
         # directions within a cone about z: no orthogonal pair, so every
-        # vector is +1; the search takes one step per vector, not a frame
+        # vector is +1; more vectors than Python's default recursion limit
         f = tmp_path / "vecs.txt"
         f.write_text("".join(f"{math.cos(k)} {math.sin(k)} 2\n" for k in range(1200)))
         r = run_cli("ks-color", str(f))
