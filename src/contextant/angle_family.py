@@ -20,13 +20,19 @@ DELTA_MAX = math.pi
 _EPS = 1e-12
 
 
+def theta_in_range(theta: float) -> bool:
+    """Whether theta lies in [pi/4, pi/2] up to _EPS: the domain of
+    delta_of_theta and g_of_theta."""
+    return THETA_MIN - _EPS <= theta <= THETA_MAX + _EPS
+
+
 def delta_of_theta(theta: float) -> float:
     """Compatibility angle arccos(-cot^2 theta), for theta in [pi/4, pi/2].
 
     Directions at tilt theta separated by this azimuthal step are
     orthogonal; outside [pi/4, pi/2] no orthogonal pair exists.
     """
-    if not (THETA_MIN - _EPS <= theta <= THETA_MAX + _EPS):
+    if not theta_in_range(theta):
         raise ValueError(f"theta = {theta!r} outside [pi/4, pi/2]")
     c, s = math.cos(theta), math.sin(theta)
     arg = -(c * c) / (s * s)
@@ -42,7 +48,7 @@ def theta_of_delta(delta: float) -> float:
 
 def g_of_theta(theta: float) -> float:
     """Quantum pair correlation 1 - 4 cos^2 theta in the m=0 state."""
-    if not (THETA_MIN - _EPS <= theta <= THETA_MAX + _EPS):
+    if not theta_in_range(theta):
         raise ValueError(f"theta = {theta!r} outside [pi/4, pi/2]")
     c = math.cos(theta)
     return max(-1.0, min(1.0, 1.0 - 4.0 * c * c))
@@ -153,12 +159,11 @@ def rational_approximants(
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     x = delta / (2.0 * math.pi)
-    xf = Fraction(x)
-    lo, hi = Fraction(1, 4), Fraction(1, 2)
     results = []
-    for f in _best_approximations(xf, q_max):
-        if not (lo <= f <= hi):
-            continue
-        results.append((RationalAngle(f.numerator, f.denominator), abs(x - f)))
+    for f in _best_approximations(Fraction(x), q_max):
+        p, q = f.numerator, f.denominator
+        if q <= 4 * p <= 2 * q:
+            # x - f would subtract float(f) = p / q: the same float
+            results.append((RationalAngle(p, q), abs(x - p / q)))
     results.sort(key=lambda t: (t[1], t[0].q))
     return results

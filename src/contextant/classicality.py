@@ -26,6 +26,9 @@ COUNT_CAP = 20
 # Loop steps of ks_colorability: counting COUNT_CAP unconstrained vectors
 # takes 4,194,301; refuting Peres' 33 rays, 43,812.
 KS_STEP_BUDGET = 10_000_000
+# Dot products plus triple-candidate checks of VectorSet: 5,000 vectors
+# without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
+VECTORSET_BUDGET = 15_000_000
 
 # Half-width of the band around float(m) inside which decide_row defers to
 # the exact rule.  float(m) is within 2^-53 of the exact minimum m (|m| <= 1),
@@ -189,6 +192,10 @@ class VectorSet:
 
     Pairs and maximal orthogonal triples are derived from the geometry at
     a fixed tolerance; near-orthogonality below it creates no constraint.
+    Raises ValueError when the n(n-1)/2 dot products plus the n-j-1
+    triple candidates (i, j, k > j) of every pair (i, j) exceed
+    VECTORSET_BUDGET: checked once per row of the pair loop, so before
+    the pairs outgrow it and before any triple is listed.
     """
 
     vectors: list[Direction]
@@ -197,12 +204,17 @@ class VectorSet:
 
     def __post_init__(self):
         n = len(self.vectors)
-        self.pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if abs(self.vectors[i].dot(self.vectors[j])) < ORTHO_TOL
-        ]
+        work = n * (n - 1) // 2
+        self.pairs = []
+        # row n - 1 has no pair, so checking at the top of each row suffices
+        for i in range(n):
+            if work > VECTORSET_BUDGET:
+                raise ValueError(f"vector set needs more than {VECTORSET_BUDGET} "
+                                 "dot products and triple checks")
+            for j in range(i + 1, n):
+                if abs(self.vectors[i].dot(self.vectors[j])) < ORTHO_TOL:
+                    work += n - j - 1
+                    self.pairs.append((i, j))
         pairset = set(self.pairs)
         self.triples = [
             (i, j, k)

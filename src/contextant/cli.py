@@ -3,6 +3,8 @@
 Subcommands: verdict, scan, oracle, quantum-check, discontinuity,
 ks-color.  All output goes to stdout as UTF-8; errors to stderr.  Exit
 codes: 0 success, 1 check failure, 2 argument error, 3 resource limit.
+A subcommand ends with a nonzero code by raising Exit; main writes its
+reason to stderr as one line "<command>: <reason>".
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .angle_family import (
     delta_of_theta,
     g_of_theta,
     rational_approximants,
+    theta_in_range,
 )
 from .assignment_model import brute_force_min, min_correlation
 from .classicality import (
@@ -57,6 +60,22 @@ THETA_Q_MAX = 1_000_000
 QUANTUM_SAMPLES_MAX = 100_000
 
 
+class Exit(Exception):
+    """Ends a subcommand with a nonzero exit code and a one-line reason."""
+
+    def __init__(self, code: int, reason: str):
+        super().__init__(reason)
+        self.code = code
+
+
+def _or_exit(code: int, f, *args, **kwargs):
+    """f(*args, **kwargs), whose ValueError ends the command with code."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as e:
+        raise Exit(code, str(e)) from None
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -82,6 +101,7 @@ _positive_finite_float = _checked(
 _finite_nonnegative_float = _checked(
     float, lambda x: math.isfinite(x) and x >= 0, "finite and nonnegative")
 _int_at_least_2 = _checked(int, lambda n: n >= 2, ">= 2")
+_theta = _checked(float, theta_in_range, "in [pi/4, pi/2]")
 
 
 def _vector_file(path: str) -> list[spin_algebra.Direction]:
@@ -143,7 +163,7 @@ def _json_row(line: str) -> str:
     return JSON_ROW.format(*line.split(","))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     """Write the table one denominator at a time; memory stays flat."""
     write = sys.stdout.write
     if args.format == "csv":
@@ -156,17 +176,17 @@ def cmd_scan(args) -> int:
             write(sep + ",\n".join(map(_json_row, lines)))
             sep = ",\n"
         write("\n]\n")
-    return EXIT_OK
 
 
-def _decide(command: str, angle: RationalAngle):
-    """decide_pair_family(angle), or None after reporting on stderr that
-    the member is classical with q above the witness limit."""
-    try:
-        return decide_pair_family(angle)
-    except ValueError as e:
-        print(f"{command}: {e}", file=sys.stderr)
-        return None
+def _angle(args) -> RationalAngle:
+    """The member --p/--q; exit 2 if it is not one."""
+    return _or_exit(EXIT_USAGE, RationalAngle, args.p, args.q)
+
+
+def _decide(angle: RationalAngle):
+    """decide_pair_family(angle); exit 3 for a Classical member whose q is
+    above the witness limit."""
+    return _or_exit(EXIT_RESOURCE, decide_pair_family, angle)
 
 
 def _verdict_lines(v) -> list[str]:
@@ -189,30 +209,16 @@ def _verdict_lines(v) -> list[str]:
     return lines
 
 
-def cmd_verdict(args) -> int:
+def cmd_verdict(args) -> None:
     has_pq = args.p is not None or args.q is not None
     if has_pq == (args.theta is not None):
-        print("verdict: give either --p/--q or --theta", file=sys.stderr)
-        return EXIT_USAGE
+        raise Exit(EXIT_USAGE, "give either --p/--q or --theta")
     if has_pq:
         if args.p is None or args.q is None:
-            print("verdict: --p and --q go together", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            angle = RationalAngle(args.p, args.q)
-        except ValueError as e:
-            print(f"verdict: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        v = _decide("verdict", angle)
-        if v is None:
-            return EXIT_RESOURCE
-        print("\n".join(_verdict_lines(v)))
-        return EXIT_OK
-    try:
-        delta = delta_of_theta(args.theta)
-    except ValueError as e:
-        print(f"verdict: {e}", file=sys.stderr)
-        return EXIT_USAGE
+            raise Exit(EXIT_USAGE, "--p and --q go together")
+        print("\n".join(_verdict_lines(_decide(_angle(args)))))
+        return
+    delta = delta_of_theta(args.theta)
     generic = decide_pair_family_generic()
     print("generic (irrational-type) verdict for float input:")
     print(f"  verdict: {generic.verdict}")
@@ -233,33 +239,22 @@ def cmd_verdict(args) -> int:
             a.p, a.q, float(min_correlation(classify(a))))
         print(f"  {a.p}/{a.q} (distance {_fmt(d)}): {VERDICT[classical]}, "
               f"margin {_fmt(margin)}")
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    try:
-        angle = RationalAngle(args.p, args.q)
-    except ValueError as e:
-        print(f"oracle: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        corr, assignment = brute_force_min(angle)
-    except ValueError as e:
-        print(f"oracle: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+def cmd_oracle(args) -> None:
+    angle = _angle(args)
+    corr, assignment = _or_exit(EXIT_RESOURCE, brute_force_min, angle)
     print(f"p/q: {args.p}/{args.q}")
     print(f"min correlation: {corr} = {_fmt(float(corr))}")
     print(f"minimizer: ({assignment.signs})")
     closed = min_correlation(classify(angle))
     print(f"closed form: {closed} ({'agree' if closed == corr else 'DISAGREE'})")
     if closed != corr:
-        print(f"oracle: closed form {closed} differs from the exact minimum {corr}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        raise Exit(EXIT_CHECK_FAILED,
+                   f"closed form {closed} differs from the exact minimum {corr}")
 
 
-def cmd_quantum_check(args) -> int:
+def cmd_quantum_check(args) -> None:
     rng = np.random.default_rng(args.seed)
     rho = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
     worst_comm = 0.0
@@ -271,7 +266,7 @@ def cmd_quantum_check(args) -> int:
         a = dichotomic(direction_from_angles(theta, phi))
         b = dichotomic(direction_from_angles(theta, phi + delta))
         worst_comm = max(worst_comm, commutator_norm(a, b))
-        val = expectation(rho, [a, b])
+        val = expectation(rho, [a @ b])
         worst_g = max(worst_g, abs(val - g_of_theta(theta)))
     worst_triple = 0.0
     n_triples = min(args.samples, 100)
@@ -289,37 +284,24 @@ def cmd_quantum_check(args) -> int:
           f"{_fmt(worst_triple)} (tol 1e-10)")
     print("PASS" if ok else "FAIL")
     if not ok:
-        print("quantum-check: a residual exceeds its tolerance", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        raise Exit(EXIT_CHECK_FAILED, "a residual exceeds its tolerance")
 
 
-def cmd_discontinuity(args) -> int:
-    try:
-        angle = RationalAngle(args.p, args.q)
-    except ValueError as e:
-        print(f"discontinuity: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    v = _decide("discontinuity", angle)
-    if v is None:
-        return EXIT_RESOURCE
+def cmd_discontinuity(args) -> None:
+    angle = _angle(args)
+    v = _decide(angle)
     if v.classical:
-        print(f"discontinuity: {args.p}/{args.q} is Classical; "
-              "the probe needs a Nonclassical start", file=sys.stderr)
-        return EXIT_USAGE
+        raise Exit(EXIT_USAGE, f"{args.p}/{args.q} is Classical; "
+                   "the probe needs a Nonclassical start")
     eps_frac = args.epsilon / (2.0 * math.pi)
     found, best_dist = find_classical_neighbor(
         angle, Fraction(eps_frac), args.q_max
     )
     if found is None:
-        print(f"discontinuity: no even-denominator fraction within "
-              f"{_fmt(eps_frac)} of {args.p}/{args.q} with q' <= {args.q_max}; "
-              f"closest achieved distance {_fmt(float(best_dist))}",
-              file=sys.stderr)
-        return EXIT_RESOURCE
-    v2 = _decide("discontinuity", found)
-    if v2 is None:
-        return EXIT_RESOURCE
+        raise Exit(EXIT_RESOURCE, f"no even-denominator fraction within "
+                   f"{_fmt(eps_frac)} of {args.p}/{args.q} with q' <= {args.q_max}; "
+                   f"closest achieved distance {_fmt(float(best_dist))}")
+    v2 = _decide(found)
     print(f"nonclassical member: {args.p}/{args.q}")
     for line in _verdict_lines(v):
         print("  " + line)
@@ -328,16 +310,11 @@ def cmd_discontinuity(args) -> int:
           f"in delta/2pi)")
     for line in _verdict_lines(v2):
         print("  " + line)
-    return EXIT_OK
 
 
-def cmd_ks_color(args) -> int:
-    vset = VectorSet(args.vectors)
-    try:
-        result = ks_colorability(vset, mode=args.mode)
-    except ValueError as e:
-        print(f"ks-color: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+def cmd_ks_color(args) -> None:
+    vset = _or_exit(EXIT_RESOURCE, VectorSet, args.vectors)
+    result = _or_exit(EXIT_RESOURCE, ks_colorability, vset, mode=args.mode)
     print(f"vectors: {len(vset.vectors)}  orthogonal pairs: {len(vset.pairs)}  "
           f"triples: {len(vset.triples)}")
     if result.satisfiable:
@@ -347,7 +324,6 @@ def cmd_ks_color(args) -> int:
         print("UNSAT")
     if result.count is not None:
         print(f"colorings: {result.count}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="decide one family member")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta", type=_theta)
     p.add_argument("--q-max", default=100, type=_checked(
         int, lambda n: 2 <= n <= THETA_Q_MAX, f"in [2, {THETA_Q_MAX}]"))
     p.add_argument("--tolerance", type=_finite_nonnegative_float, default=1e-2)
@@ -411,7 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        args.func(args)
+    except Exit as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return e.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

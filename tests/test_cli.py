@@ -52,6 +52,9 @@ class TestVerdict:
         r = run_cli("verdict")
         assert r.returncode == 2
 
+    def test_theta_out_of_range_rejected(self):
+        assert_usage_error(run_cli("verdict", "--theta", "0.5"), "--theta")
+
     def test_theta_q_max_below_two_rejected(self):
         assert_usage_error(run_cli("verdict", "--theta", "0.9", "--q-max", "1"),
                            "--q-max")
@@ -185,6 +188,14 @@ class TestQuantumCheck:
         assert "PASS" in a.stdout
         assert a.stdout == b.stdout
 
+    def test_noncommuting_pair_fails_with_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "delta_of_theta",
+                            lambda theta: angle_family.delta_of_theta(theta) + 0.1)
+        assert main(["quantum-check", "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("FAIL\n")
+        assert err == "quantum-check: a residual exceeds its tolerance\n"
+
     def test_failure_exits_1_with_a_reason(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "g_of_theta",
                             lambda theta: angle_family.g_of_theta(theta) + 1e-6)
@@ -281,6 +292,16 @@ class TestKsColor:
         assert main(["ks-color", str(peres33)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "ks-color: coloring search exceeded 1000 steps\n"
+
+    def test_vector_set_budget_exits_3(self, tmp_path):
+        # 200 copies each of x, y and z: 120,000 pairs and 8,000,000 triples
+        f = tmp_path / "vecs.txt"
+        f.write_text("1 0 0\n" * 200 + "0 1 0\n" * 200 + "0 0 1\n" * 200)
+        r = run_cli("ks-color", str(f))
+        assert r.returncode == 3 and r.stdout == ""
+        budget = contextant.classicality.VECTORSET_BUDGET
+        assert r.stderr == (f"ks-color: vector set needs more than {budget} "
+                            "dot products and triple checks\n")
 
     def test_zero_vector_rejected(self, tmp_path):
         f = tmp_path / "vecs.txt"

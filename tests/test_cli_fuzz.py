@@ -1,6 +1,8 @@
 """Fuzz test of the exit-code contract: for every subcommand and every
 argument list, valid, boundary or malformed, `main(argv)` returns 0, 1, 2
-or 3 without raising, and writes to stderr whenever it does not return 0.
+or 3 without raising, and writes to stderr whenever it does not return 0:
+one line "<command>: <reason>" on exit 1 or 3, and on exit 2 that line or
+argparse's usage and error.
 
 Sizes are bounded so that one example runs well under a second: scan
 --q-max <= 200, quantum-check --samples <= 20, oracle q <= 2000, verdict
@@ -146,3 +148,8 @@ def test_exit_code_contract(argv):
         code, err = run(argv, Path(tmp))
     assert code in (0, 1, 2, 3)
     assert code == 0 or err
+    prefix = f"{argv[0]}: " if argv else "usage: "
+    if code in (1, 3):
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+    if code == 2:
+        assert err.startswith(("usage: ", prefix))
