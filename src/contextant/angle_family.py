@@ -83,7 +83,13 @@ class RationalAngle:
 
     @property
     def delta(self) -> float:
-        return 2.0 * math.pi * self.p / self.q
+        try:
+            delta = 2.0 * math.pi * self.p / self.q
+        except OverflowError:  # p or q beyond the float range
+            delta = math.inf
+        if delta == math.inf:  # or 2*pi*p
+            raise ValueError("step angle 2*pi*p/q does not fit a float")
+        return delta
 
     @property
     def theta(self) -> float:

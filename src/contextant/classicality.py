@@ -141,40 +141,44 @@ def find_classical_neighbor(
     angle: RationalAngle, eps_frac: Fraction, q_max: int
 ) -> tuple[RationalAngle | None, Fraction | None]:
     """Even-denominator (hence classical) reduced fraction within eps_frac
-    of angle's step fraction, denominator <= q_max.
+    of x = p/q, angle's step fraction, denominator <= q_max; q must be odd.
 
     Returns (neighbor, distance); neighbor is None when q_max is too small,
     in which case distance is the closest achieved.  The result is that of
-    an ascending scan over every even q' in [2, q_max]; the scan starts
-    later, at max(2, min(lo, q_max - 4q)) rounded up to even, because:
+    an ascending scan over every even q' = 2k <= q_max of the reduced
+    floor(x q')/q' and ceil(x q')/q' in [1/4, 1/2].  With kp = hq + r > hq
+    their numerators hold one odd number, c = 2h + 1, |q - 2r|/(2kq) from
+    x, and an even one is never reduced.  The loop starts later, at
+    q' = max(2, min(lo, q_max - 4q)) rounded up to even, because:
 
-    - a reduced p'/q' with even q' differs from p/q (q odd), so
-      |p'/q' - p/q| >= 1/(q q'), and no q' below lo, the first q' with
-      q q' eps_frac > 1, has a candidate within eps_frac;
-    - among any q consecutive even q' one has p q' = 1 (mod q), which
-      makes floor(x q')/q' reduced, at distance exactly 1/(q q') and, for
-      q' >= 4, inside [1/4, 1/2]; that beats every candidate with a
-      smaller q', so when q_max > 4q the last 4q denominators hold the
+    - a reduced p'/q' lies at least 1/(q q') from x, so no q' below lo,
+      the first q' with q q' eps_frac > 1, is within eps_frac;
+    - among any q consecutive k one has |q - 2r| = 1, which makes c/2k
+      reduced, 1/(2kq) from x and, for k >= 2, in [1/4, 1/2]: closer than
+      any smaller q', so if q_max > 4q the last 4q denominators hold the
       closest candidate in [2, q_max].
+
+    Where the scan would reject c/2k, a smaller k holds a candidate at least
+    as close, which the loop finds first or beats; so c/2k is not tested.
+    No gcd test: a common factor g is odd, so (c/g)/(2k/g) is the same
+    fraction.  No range test: c lies within 1 of 2kx < k, and c/2k < 1/4
+    lies farther from x than 1/4 at k = 2.  No r == 0 test: both numerators
+    are then 2h, and c/2k lies 1/(2k) from x, farther than 1/(2k'q) at one
+    of the two k' in (k - q, k) with |q - 2r'| = 1, since q divides k.
     """
-    x = angle.fraction
-    q = angle.q
+    p, q = angle.p, angle.q
     lo = q_max + 1 if eps_frac <= 0 else math.floor(1 / (q * eps_frac)) + 1
     start = max(2, min(lo, q_max - 4 * q))
-    best_dist: Fraction | None = None
-    for q2 in range(start + start % 2, q_max + 1, 2):
-        for p2 in (math.floor(x * q2), math.ceil(x * q2)):
-            if p2 < 1 or math.gcd(p2, q2) != 1:
-                continue
-            f = Fraction(p2, q2)
-            if not (Fraction(1, 4) <= f <= Fraction(1, 2)):
-                continue
-            d = abs(f - x)
-            if best_dist is None or d < best_dist:
-                best_dist = d
-            if d < eps_frac:
-                return RationalAngle(p2, q2), d
-    return None, best_dist
+    en, ed = eps_frac.numerator, eps_frac.denominator
+    best_num, best_k = 1, 0  # closest |q - 2r| / (2kq) so far; 1/0 = none
+    for k in range((start + 1) // 2, q_max // 2 + 1):
+        h, r = divmod(k * p, q)
+        num = abs(q - 2 * r)
+        if num * ed < en * 2 * k * q:
+            return RationalAngle(2 * h + 1, 2 * k), Fraction(num, 2 * k * q)
+        if num * best_k < best_num * k:
+            best_num, best_k = num, k
+    return None, Fraction(best_num, 2 * best_k * q) if best_k else None
 
 
 def condition_p_threshold(n: int) -> float:
@@ -184,6 +188,11 @@ def condition_p_threshold(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (2 * n + 1) / (2.0 * math.pi) * math.acos(-n / (n + 1))
+
+
+def dot_products(n: int) -> int:
+    """The n(n-1)/2 dot products of VectorSet's search for orthogonal pairs."""
+    return n * (n - 1) // 2
 
 
 @dataclass
@@ -204,7 +213,7 @@ class VectorSet:
 
     def __post_init__(self):
         n = len(self.vectors)
-        work = n * (n - 1) // 2
+        work = dot_products(n)
         self.pairs = []
         # row n - 1 has no pair, so checking at the top of each row suffices
         for i in range(n):

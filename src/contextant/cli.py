@@ -25,13 +25,15 @@ from .angle_family import (
     rational_approximants,
     theta_in_range,
 )
-from .assignment_model import brute_force_min, min_correlation
+from .assignment_model import WITNESS_Q_MAX, brute_force_min, min_correlation
 from .classicality import (
+    VECTORSET_BUDGET,
     VERDICT,
     VectorSet,
     decide_pair_family,
     decide_pair_family_generic,
     decide_row,
+    dot_products,
     find_classical_neighbor,
     ks_colorability,
 )
@@ -106,7 +108,8 @@ _theta = _checked(float, theta_in_range, "in [pi/4, pi/2]")
 
 def _vector_file(path: str) -> list[spin_algebra.Direction]:
     """argparse type: the directions in a text file, one per nonblank line
-    as three finite reals with a nonzero norm, scaled to unit length."""
+    as three finite reals with a nonzero norm, scaled to unit length, read
+    only until VectorSet would refuse them on their dot products alone."""
     vecs = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,6 +124,8 @@ def _vector_file(path: str) -> list[spin_algebra.Direction]:
                         f"nonzero norm, got {line.strip()!r}"
                     )
                 vecs.append(spin_algebra.Direction(*(c / n for c in xyz)))
+                if dot_products(len(vecs)) > VECTORSET_BUDGET:
+                    break
     except (OSError, ValueError) as e:
         raise argparse.ArgumentTypeError(str(e)) from None
     return vecs
@@ -294,12 +299,12 @@ def cmd_discontinuity(args) -> None:
         raise Exit(EXIT_USAGE, f"{args.p}/{args.q} is Classical; "
                    "the probe needs a Nonclassical start")
     eps_frac = args.epsilon / (2.0 * math.pi)
-    found, best_dist = find_classical_neighbor(
-        angle, Fraction(eps_frac), args.q_max
-    )
+    # a neighbour above the witness limit would exit 3 at _decide anyway
+    q_max = min(args.q_max, WITNESS_Q_MAX)
+    found, best_dist = find_classical_neighbor(angle, Fraction(eps_frac), q_max)
     if found is None:
         raise Exit(EXIT_RESOURCE, f"no even-denominator fraction within "
-                   f"{_fmt(eps_frac)} of {args.p}/{args.q} with q' <= {args.q_max}; "
+                   f"{_fmt(eps_frac)} of {args.p}/{args.q} with q' <= {q_max}; "
                    f"closest achieved distance {_fmt(float(best_dist))}")
     v2 = _decide(found)
     print(f"nonclassical member: {args.p}/{args.q}")

@@ -146,6 +146,11 @@ class TestFindClassicalNeighbor:
     @example(angle=RationalAngle(2, 5), log_eps=-7.0, q_max=5000)  # not found
     @example(angle=RationalAngle(29, 61), log_eps=-6.0, q_max=200)  # q_max < 4q
     @example(angle=RationalAngle(2, 5), log_eps=-3.0, q_max=1)  # empty range
+    # Classical, just above 1/4: 1/6 and 3/14 lie below 1/4
+    @example(angle=RationalAngle(16, 61), log_eps=-9.0, q_max=14)
+    @example(angle=RationalAngle(1001, 2003), log_eps=-7.0, q_max=9000)  # q_max > 4q
+    # the window starts at k = q and holds k = q, 2q and 3q, with no hit
+    @example(angle=RationalAngle(2, 5), log_eps=-9.0, q_max=30)
     def test_matches_linear_scan(self, angle, log_eps, q_max):
         eps_frac = Fraction(10.0**log_eps)
         assert find_classical_neighbor(angle, eps_frac, q_max) == (

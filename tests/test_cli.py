@@ -10,6 +10,7 @@ import contextant.classicality
 from contextant import angle_family, cli
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import WITNESS_Q_MAX
+from contextant.classicality import dot_products
 from contextant.cli import QUANTUM_SAMPLES_MAX, THETA_Q_MAX, main
 
 
@@ -86,6 +87,16 @@ class TestVerdict:
         r = run_cli("verdict", "--p", str(q // 2), "--q", str(q))
         assert r.returncode == 0
         assert "verdict: Nonclassical" in r.stdout
+
+    @pytest.mark.parametrize("command", ["verdict", "discontinuity"])
+    @pytest.mark.parametrize("p, q", [(2**1023, 2**1024 + 1),
+                                      (3 * 10**307, 6 * 10**307 + 1)])
+    def test_step_angle_beyond_the_float_range(self, command, p, q, capsys):
+        argv = [command, "--p", str(p), "--q", str(q)]
+        assert main(argv + (["--epsilon", "0.1"] if command == "discontinuity"
+                            else [])) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{command}: step angle 2*pi*p/q does not fit a float\n"
 
 
 class TestScan:
@@ -247,6 +258,18 @@ class TestDiscontinuity:
         assert r.returncode == 3
         assert "closest achieved distance" in r.stderr
 
+    def test_search_ends_at_the_witness_limit(self, monkeypatch, capsys):
+        # a neighbour above the limit has no printable witness, so a huge
+        # --q-max searches only up to it: 500 steps here, not 10^30
+        monkeypatch.setattr(cli, "WITNESS_Q_MAX", 1000)
+        assert main(["discontinuity", "--p", "500000000", "--q", "1000000001",
+                     "--epsilon", "6.283185307179586e-19",
+                     "--q-max", str(10**30)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("discontinuity: no even-denominator fraction within "
+                              "1e-19 of 500000000/1000000001 with q' <= 1000; ")
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, epsilon):
         assert_usage_error(run_cli("discontinuity", "--p", "2", "--q", "5",
@@ -302,6 +325,21 @@ class TestKsColor:
         budget = contextant.classicality.VECTORSET_BUDGET
         assert r.stderr == (f"ks-color: vector set needs more than {budget} "
                             "dot products and triple checks\n")
+
+    def test_reading_stops_once_the_budget_is_exceeded(self, tmp_path):
+        # 5,478 vectors take more dot products than the budget allows, so
+        # the malformed line after them is never read; after 5,477 it is
+        budget = contextant.classicality.VECTORSET_BUDGET
+        assert dot_products(5477) <= budget < dot_products(5478)
+        cone = [f"{math.cos(k)} {math.sin(k)} 2\n" for k in range(5478)]
+        f = tmp_path / "vecs.txt"
+        f.write_text("".join(cone) + "0 0 0\n")
+        r = run_cli("ks-color", str(f))
+        assert r.returncode == 3 and r.stdout == ""
+        assert r.stderr == (f"ks-color: vector set needs more than {budget} "
+                            "dot products and triple checks\n")
+        f.write_text("".join(cone[:5477]) + "0 0 0\n")
+        assert_usage_error(run_cli("ks-color", str(f)), "line 5478")
 
     def test_zero_vector_rejected(self, tmp_path):
         f = tmp_path / "vecs.txt"

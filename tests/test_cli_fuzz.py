@@ -143,6 +143,10 @@ def run(argv, workdir: Path):
 @example(argv=["verdict", "--theta", "nan"])
 @example(argv=["discontinuity", "--q", "5", "--p", "2", "--epsilon", "inf"])
 @example(argv=["ks-color", ["0 0 0"]])
+# members whose step angle overflows a float: q itself, and 2*pi*p
+@example(argv=["verdict", "--p", str(2**1023), "--q", str(2**1024 + 1)])
+@example(argv=["discontinuity", "--p", str(3 * 10**307), "--q", str(6 * 10**307 + 1),
+               "--epsilon", "0.1"])
 def test_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run(argv, Path(tmp))
