@@ -162,9 +162,9 @@ def find_classical_neighbor(
     as close, which the loop finds first or beats; so c/2k is not tested.
     No gcd test: a common factor g is odd, so (c/g)/(2k/g) is the same
     fraction.  No range test: c lies within 1 of 2kx < k, and c/2k < 1/4
-    lies farther from x than 1/4 at k = 2.  No r == 0 test: both numerators
-    are then 2h, and c/2k lies 1/(2k) from x, farther than 1/(2k'q) at one
-    of the two k' in (k - q, k) with |q - 2r'| = 1, since q divides k.
+    lies farther from x than 1/4 at k = 2.  No r == 0 test: q then divides
+    k, both numerators are 2h, and c/2k lies 1/(2k) from x, farther than
+    the 1/(2k'q) of one of the two k' in (k - q, k) with |q - 2r'| = 1.
     """
     p, q = angle.p, angle.q
     lo = q_max + 1 if eps_frac <= 0 else math.floor(1 / (q * eps_frac)) + 1

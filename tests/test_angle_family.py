@@ -104,12 +104,6 @@ class TestRationalAngle:
         with pytest.raises(ValueError):
             RationalAngle(1, 5)
 
-    @pytest.mark.parametrize("p, q", [(2**1023, 2**1024 + 1),  # q overflows
-                                      (3 * 10**307, 6 * 10**307 + 1)])  # 2*pi*p
-    def test_delta_beyond_the_float_range(self, p, q):
-        with pytest.raises(ValueError, match="does not fit a float"):
-            RationalAngle(p, q).delta
-
     def test_delta_near_the_float_range(self):
         p, q = 10**307, 2 * 10**307 + 1
         assert RationalAngle(p, q).delta == 2.0 * math.pi * p / q
