@@ -30,12 +30,6 @@ KS_STEP_BUDGET = 10_000_000
 # without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
 VECTORSET_BUDGET = 15_000_000
 
-# Half-width of the band around float(m) inside which decide_row defers to
-# the exact rule.  float(m) is within 2^-53 of the exact minimum m (|m| <= 1),
-# so whenever |g - float(m)| > GUARD the float test g > float(m) and the
-# exact test Fraction(g) >= m give the same verdict.
-GUARD = 1e-12
-
 VERDICT = ("Nonclassical", "Classical")  # indexed by the classical flag
 
 
@@ -101,19 +95,17 @@ def decide_row(p: int, q: int, m_f: float) -> tuple[bool, float, float, float]:
     bit for bit, without building the witness.
 
     p/q must be reduced and in [1/4, 1/2] (not checked), and m_f must be
-    float(m) for the exact minimum m of q's parity class.  The member is
-    Classical iff g > m_f.  Error bound: m_f is within 2^-53 of m, so when
-    |g - m_f| > GUARD this is the exact rule Fraction(g) >= m of
-    mixture_for_target.  Rows inside the band are decided by
-    decide_pair_family itself; for q <= 10000 those are exactly the Niven
-    ties 1/2 and 1/3 (the nearest other row is 5.9e-9 away).
+    float(m) for the exact minimum m of q's parity class.  The rule of
+    mixture_for_target is Fraction(g) >= m.  m_f is the float nearest m, so
+    no float lies strictly between them: for g != m_f that rule is g > m_f.
+    Only the tie g == m_f needs m itself, and decide_pair_family decides it;
+    for q <= 10000 the only tie is 1/2.
     """
     delta = 2.0 * math.pi * p / q  # RationalAngle.delta
     g = g_of_delta(delta)
-    if abs(g - m_f) <= GUARD:
-        v = decide_pair_family(RationalAngle(p, q))
-        return v.classical, v.margin, v.theta, v.g
-    return g > m_f, _margin(g, m_f), theta_of_delta(delta), g
+    classical = g > m_f or g == m_f and decide_pair_family(
+        RationalAngle(p, q)).classical
+    return classical, _margin(g, m_f), theta_of_delta(delta), g
 
 
 def decide_pair_family_generic() -> ClassicalityVerdict:

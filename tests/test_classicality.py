@@ -180,10 +180,12 @@ class TestDecideRow:
     @example(angle=RationalAngle(1, 3))
     @example(angle=RationalAngle(1, 4))
     @example(angle=RationalAngle(2938, 5925))  # the nearest non-tie, 5.9e-9
+    # g == float(m) < m: a tie that the exact rule makes Nonclassical
+    @example(angle=RationalAngle(6782978, 13568301))
     def test_matches_verdict_bitwise_up_to_10000(self, angle):
         assert same_bits(row_of(angle), decide_pair_family(angle))
 
-    def test_guard_band_admits_only_the_niven_ties_up_to_2000(self, monkeypatch):
+    def test_exact_path_is_entered_only_for_the_tie_1_2_up_to_2000(self, monkeypatch):
         exact = []
 
         def recording(angle):
@@ -195,7 +197,7 @@ class TestDecideRow:
             for p in range(-(-q // 4), q // 2 + 1):
                 if math.gcd(p, q) == 1:
                     row_of(RationalAngle(p, q))
-        assert exact == [(1, 2), (1, 3)]
+        assert exact == [(1, 2)]
 
 
 class TestGenericVerdict:
