@@ -301,18 +301,17 @@ def cmd_discontinuity(args) -> None:
     eps_frac = args.epsilon / (2.0 * math.pi)
     # a neighbour above the witness limit would exit 3 at _decide anyway
     q_max = min(args.q_max, WITNESS_Q_MAX)
-    found, best_dist = find_classical_neighbor(angle, Fraction(eps_frac), q_max)
+    found, dist = find_classical_neighbor(angle, Fraction(eps_frac), q_max)
     if found is None:
         raise Exit(EXIT_RESOURCE, f"no even-denominator fraction within "
                    f"{_fmt(eps_frac)} of {args.p}/{args.q} with q' <= {q_max}; "
-                   f"closest achieved distance {_fmt(float(best_dist))}")
+                   f"closest achieved distance {_fmt(float(dist))}")
     v2 = _decide(found)
     print(f"nonclassical member: {args.p}/{args.q}")
     for line in _verdict_lines(v):
         print("  " + line)
     print(f"classical neighbor: {found.p}/{found.q} "
-          f"(distance {_fmt(abs(found.p / found.q - args.p / args.q))} "
-          f"in delta/2pi)")
+          f"(distance {_fmt(float(dist))} in delta/2pi)")
     for line in _verdict_lines(v2):
         print("  " + line)
 

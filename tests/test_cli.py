@@ -247,6 +247,18 @@ class TestDiscontinuity:
                     "--epsilon", str(eps), "--q-max", "100000")
         assert r.returncode == 0
 
+    def test_prints_the_exact_distance(self, capsys):
+        # the float difference of 99979/199960 and 49999/99999 has lost
+        # digits to cancellation: it reads 9.50199585681e-10
+        assert main(["discontinuity", "--p", "49999", "--q", "99999",
+                     "--epsilon", "6.283185307179586e-09",
+                     "--q-max", "10000000"]) == 0
+        dist = abs(Fraction(99979, 199960) - Fraction(49999, 99999))
+        assert f"{float(dist):.12g}" == "9.50199540003e-10"
+        out = capsys.readouterr().out
+        assert ("classical neighbor: 99979/199960 "
+                "(distance 9.50199540003e-10 in delta/2pi)\n") in out
+
     def test_classical_input_rejected(self):
         r = run_cli("discontinuity", "--p", "1", "--q", "3", "--epsilon", "0.1")
         assert r.returncode == 2
