@@ -116,7 +116,10 @@ def _vector_file(path: str) -> list[spin_algebra.Direction]:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                xyz = [float(c) for c in line.split()]
+                try:
+                    xyz = [float(c) for c in line.split()]
+                except ValueError:
+                    xyz = []  # not three reals: reported below
                 n = math.sqrt(sum(c * c for c in xyz))
                 if len(xyz) != 3 or not 0 < n < math.inf:
                     raise ValueError(

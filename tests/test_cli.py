@@ -362,3 +362,11 @@ class TestKsColor:
         f = tmp_path / "vecs.txt"
         f.write_text("nan 0 1\n")
         assert_usage_error(run_cli("ks-color", str(f)), "line 1")
+
+    @pytest.mark.parametrize("line", ["x 0 0", "0 1 0 extra"])
+    def test_non_numeric_component_names_its_line(self, tmp_path, line):
+        f = tmp_path / "vecs.txt"
+        f.write_text(f"1 0 0\n{line}\n")
+        r = run_cli("ks-color", str(f))
+        assert_usage_error(r, f"line 2: need three finite reals with a nonzero "
+                              f"norm, got {line!r}")
