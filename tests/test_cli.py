@@ -248,8 +248,8 @@ class TestDiscontinuity:
         assert r.returncode == 0
 
     def test_prints_the_exact_distance(self, capsys):
-        # the float difference of 99979/199960 and 49999/99999 has lost
-        # digits to cancellation: it reads 9.50199585681e-10
+        # the float difference of the two fractions loses digits to
+        # cancellation
         assert main(["discontinuity", "--p", "49999", "--q", "99999",
                      "--epsilon", "6.283185307179586e-09",
                      "--q-max", "10000000"]) == 0
@@ -368,5 +368,5 @@ class TestKsColor:
         f = tmp_path / "vecs.txt"
         f.write_text(f"1 0 0\n{line}\n")
         r = run_cli("ks-color", str(f))
-        assert_usage_error(r, f"line 2: need three finite reals with a nonzero "
+        assert_usage_error(r, "line 2: need three finite reals with a nonzero "
                               f"norm, got {line!r}")

@@ -6,9 +6,8 @@ print the same bytes:
 
 - `oracle` and `discontinuity` as printed by the brute-force searches
   (2^q mask enumeration, full linear neighbour scan), except the
-  neighbour line of `discontinuity_2_5_eps1e-6`: its distance is the
-  exact one, 1/6283190, where the float difference printed
-  1.59154824264e-07;
+  neighbour line of `discontinuity_2_5_eps1e-6`, which prints the exact
+  distance 1/6283190;
 - `scan` (CSV and JSON) and `verdict`, including the witness line, as
   printed when cycle assignments were stored as length-q sign tuples;
 - `verdict --theta`, as printed while the verdict record still carried
