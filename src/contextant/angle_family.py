@@ -1,9 +1,9 @@
 """Geometry of the tilted pair family.
 
-The compatibility angle between successive measurement directions at tilt
-theta, its inverse, the quantum pair correlation g, exact rational-angle
-representation with parity classification, and best rational approximation
-of a float angle.
+Unit directions in R^3, the compatibility angle between successive
+measurement directions at tilt theta, its inverse, the quantum pair
+correlation g, exact rational-angle representation with parity
+classification, and best rational approximation of a float angle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,32 @@ def theta_in_range(theta: float) -> bool:
     return THETA_MIN - _EPS <= theta <= THETA_MAX + _EPS
 
 
+def delta_in_range(delta: float) -> bool:
+    """Whether delta lies in [pi/2, pi] up to _EPS: the domain of
+    theta_of_delta, g_of_delta and rational_approximants."""
+    return DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS
+
+
+@dataclass(frozen=True)
+class Direction:
+    """Unit vector in R^3."""
+
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        n = self.x * self.x + self.y * self.y + self.z * self.z
+        if abs(n - 1.0) > 1e-12:
+            raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
+
+    def dot(self, other: "Direction") -> float:
+        return self.x * other.x + self.y * other.y + self.z * other.z
+
+    def __neg__(self) -> "Direction":
+        return Direction(-self.x, -self.y, -self.z)
+
+
 def delta_of_theta(theta: float) -> float:
     """Compatibility angle arccos(-cot^2 theta), for theta in [pi/4, pi/2].
 
@@ -41,7 +67,7 @@ def delta_of_theta(theta: float) -> float:
 
 def theta_of_delta(delta: float) -> float:
     """Tilt angle with cot^2 theta = -cos(delta), for delta in [pi/2, pi]."""
-    if not (DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS):
+    if not delta_in_range(delta):
         raise ValueError(f"delta = {delta!r} outside [pi/2, pi]")
     return math.atan2(1.0, math.sqrt(max(0.0, -math.cos(delta))))
 
@@ -56,7 +82,7 @@ def g_of_theta(theta: float) -> float:
 
 def g_of_delta(delta: float) -> float:
     """Pair correlation as a function of the step angle: (1+3cos)/(1-cos)."""
-    if not (DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS):
+    if not delta_in_range(delta):
         raise ValueError(f"delta = {delta!r} outside [pi/2, pi]")
     c = math.cos(delta)
     return max(-1.0, min(1.0, (1.0 + 3.0 * c) / (1.0 - c)))
@@ -160,7 +186,7 @@ def rational_approximants(
     Returns (angle, |delta/2pi - p/q|) pairs sorted by distance; fractions
     outside [1/4, 1/2] are dropped.
     """
-    if not (DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS):
+    if not delta_in_range(delta):
         raise ValueError(f"delta = {delta!r} outside [pi/2, pi]")
     if q_max < 2:
         raise ValueError("q_max must be >= 2")

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .angle_family import (
+    Direction,
     RationalAngle,
     classify,
     g_of_delta,
@@ -19,7 +20,6 @@ from .assignment_model import (
     min_correlation,
     mixture_for_target,
 )
-from .spin_algebra import Direction
 
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20

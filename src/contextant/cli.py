@@ -14,10 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import spin_algebra
 from .angle_family import (
+    Direction,
     RationalAngle,
     classify,
     delta_of_theta,
@@ -36,14 +34,6 @@ from .classicality import (
     dot_products,
     find_classical_neighbor,
     ks_colorability,
-)
-from .spin_algebra import (
-    commutator_norm,
-    dichotomic,
-    direction_from_angles,
-    expectation,
-    minus_one_eigenprojector,
-    triple_product_check,
 )
 
 EXIT_OK = 0
@@ -106,7 +96,7 @@ _int_at_least_2 = _checked(int, lambda n: n >= 2, ">= 2")
 _theta = _checked(float, theta_in_range, "in [pi/4, pi/2]")
 
 
-def _vector_file(path: str) -> list[spin_algebra.Direction]:
+def _vector_file(path: str) -> list[Direction]:
     """argparse type: the directions in a text file, one per nonblank line
     as three finite reals with a nonzero norm, scaled to unit length, read
     only until VectorSet would refuse them on their dot products alone."""
@@ -120,13 +110,13 @@ def _vector_file(path: str) -> list[spin_algebra.Direction]:
                     xyz = [float(c) for c in line.split()]
                 except ValueError:
                     xyz = []  # not three reals: reported below
-                n = math.sqrt(sum(c * c for c in xyz))
+                n = math.hypot(*xyz)
                 if len(xyz) != 3 or not 0 < n < math.inf:
                     raise ValueError(
                         f"line {lineno}: need three finite reals with a "
                         f"nonzero norm, got {line.strip()!r}"
                     )
-                vecs.append(spin_algebra.Direction(*(c / n for c in xyz)))
+                vecs.append(Direction(*(c / n for c in xyz)))
                 if dot_products(len(vecs)) > VECTORSET_BUDGET:
                     break
     except (OSError, ValueError) as e:
@@ -263,6 +253,18 @@ def cmd_oracle(args) -> None:
 
 
 def cmd_quantum_check(args) -> None:
+    # the only numpy user: imported here so that other commands skip its load
+    import numpy as np
+
+    from .spin_algebra import (
+        commutator_norm,
+        dichotomic,
+        direction_from_angles,
+        expectation,
+        minus_one_eigenprojector,
+        triple_product_check,
+    )
+
     rng = np.random.default_rng(args.seed)
     rho = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
     worst_comm = 0.0
@@ -282,7 +284,7 @@ def cmd_quantum_check(args) -> None:
         # random rotation of the coordinate axes via QR of a Gaussian matrix
         q_mat, r_mat = np.linalg.qr(rng.normal(size=(3, 3)))
         q_mat = q_mat * np.sign(np.diag(r_mat))
-        dirs = [spin_algebra.Direction(*(c / np.linalg.norm(c))) for c in q_mat.T]
+        dirs = [Direction(*(c / np.linalg.norm(c))) for c in q_mat.T]
         worst_triple = max(worst_triple, triple_product_check(*dirs))
     ok = worst_comm < 1e-12 and worst_g < 1e-12 and worst_triple < 1e-10
     print(f"samples: {args.samples}  seed: {args.seed}")

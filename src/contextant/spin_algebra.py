@@ -1,8 +1,8 @@
 """Spin-1 operator algebra on 3x3 complex matrices.
 
-Directions, spin operators, the dichotomic observables built from squared
-spin components, density matrices, expectation values of commuting
-products, and the orthogonal-triple product identity.
+Spin operators along unit directions, the dichotomic observables built
+from squared spin components, density matrices, expectation values of
+commuting products, and the orthogonal-triple product identity.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .angle_family import Direction
 
 ALGEBRA_TOL = 1e-12
 COMPAT_TOL = 1e-10
@@ -29,26 +31,6 @@ IDENTITY = np.eye(3, dtype=complex)
 
 class CompatibilityError(ValueError):
     """Raised when an operation requires commuting observables and gets none."""
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector in R^3."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
-
-    def dot(self, other: "Direction") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
 
 
 def direction_from_angles(theta: float, phi: float) -> Direction:

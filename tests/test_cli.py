@@ -370,3 +370,12 @@ class TestKsColor:
         r = run_cli("ks-color", str(f))
         assert_usage_error(r, "line 2: need three finite reals with a nonzero "
                               f"norm, got {line!r}")
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_tiny_and_huge_components_are_scaled(self, tmp_path, capsys, scale):
+        # the sum of squares would underflow to 0 or overflow to inf
+        f = tmp_path / "vecs.txt"
+        f.write_text(f"{scale} 0 0\n0 {scale} 0\n0 0 -{scale}\n")
+        assert main(["ks-color", str(f)]) == 0
+        assert capsys.readouterr() == (
+            "vectors: 3  orthogonal pairs: 3  triples: 1\nSAT (++-)\ncolorings: 3\n", "")

@@ -1,10 +1,12 @@
-"""The package exports only names that exist: a deletion that leaves a
-name in __all__ breaks `from contextant import *`."""
+"""Only quantum-check needs numpy: the other commands load neither numpy
+nor the operator module that uses it."""
 
-import contextant
+import subprocess
+import sys
 
 
-def test_star_import_resolves_every_export():
-    namespace = {}
-    exec("from contextant import *", namespace)
-    assert [name for name in contextant.__all__ if name not in namespace] == []
+def test_cli_import_loads_no_numpy():
+    code = ("import sys, contextant.cli; contextant.cli.build_parser(); "
+            "print(sorted({'numpy', 'contextant.spin_algebra'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
