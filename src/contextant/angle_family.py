@@ -48,9 +48,6 @@ class Direction:
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def __neg__(self) -> "Direction":
-        return Direction(-self.x, -self.y, -self.z)
-
 
 def delta_of_theta(theta: float) -> float:
     """Compatibility angle arccos(-cot^2 theta), for theta in [pi/4, pi/2].
@@ -144,10 +141,12 @@ def classify(angle: RationalAngle) -> AngleClass:
     return AngleClass("odd", angle.q // 2)
 
 
-def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
-    """Continued-fraction convergents and intermediate fractions of x with
-    denominator <= q_max, in increasing order of denominator."""
-    out: list[Fraction] = []
+def _best_approximations(x: Fraction, q_max: int) -> list[tuple[int, int]]:
+    """Continued-fraction convergents and intermediate fractions h/k of x
+    with denominator k <= q_max, as (h, k) pairs in increasing order of k.
+    Each pair is in lowest terms: its determinant with the convergent
+    before it is +-1."""
+    out: list[tuple[int, int]] = []
     # convergents h/k via the standard recurrence
     a_list: list[int] = []
     xn, xd = num, den = x.numerator, x.denominator
@@ -157,7 +156,7 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
         num, den = den, num - a * den
     h_prev, k_prev = 1, 0
     h, k = a_list[0], 1
-    out.append(Fraction(h, k))
+    out.append((h, k))
     for i in range(1, len(a_list)):
         a = a_list[i]
         # semiconvergents c*h + h_prev for c = a//2..a; the c = a case is
@@ -173,7 +172,7 @@ def _best_approximations(x: Fraction, q_max: int) -> list[Fraction]:
             if kn > q_max:
                 return out
             if abs(hn * xd - xn * kn) * k < h_err * kn:
-                out.append(Fraction(hn, kn))
+                out.append((hn, kn))
         h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
     return out
 
@@ -192,10 +191,9 @@ def rational_approximants(
         raise ValueError("q_max must be >= 2")
     x = delta / (2.0 * math.pi)
     results = []
-    for f in _best_approximations(Fraction(x), q_max):
-        p, q = f.numerator, f.denominator
+    for p, q in _best_approximations(Fraction(x), q_max):
         if q <= 4 * p <= 2 * q:
-            # x - f would subtract float(f) = p / q: the same float
+            # p / q rounds correctly, as float(Fraction(p, q)) does: the same float
             results.append((RationalAngle(p, q), abs(x - p / q)))
     results.sort(key=lambda t: (t[1], t[0].q))
     return results

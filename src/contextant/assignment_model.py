@@ -3,7 +3,7 @@
 Cycle assignments (arc-piecewise-constant +-1 functions), their exact
 correlation, the closed-form minima for the three parity classes, the
 optimal construction, an independent exact-minimum oracle, and the mixture
-hitting a target correlation, whose existence is the classicality rule.
+that reproduces the correlation of a member already decided Classical.
 
 Correlations are kept as exact Fractions; floats appear only at the
 quantum interface.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import min_cycle_sum
-from .angle_family import AngleClass, RationalAngle, classify
+from .angle_family import AngleClass, RationalAngle
 
 
 class ExclusivityError(ValueError):
@@ -87,13 +87,13 @@ def min_correlation(angle_class: AngleClass) -> Fraction:
     return Fraction(-1)
 
 
-def optimal_assignment(angle: RationalAngle) -> CycleAssignment:
-    """Exclusivity-respecting minimizer of the cycle correlation.
+def optimal_assignment(q: int) -> CycleAssignment:
+    """Exclusivity-respecting minimizer of the cycle correlation on q
+    positions.
 
     Alternating +-1 along the cycle; for odd q the wrap-around pair is the
     single (+1, +1) seam.  Attains min_correlation exactly.
     """
-    q = angle.q
     return CycleAssignment(q, ((1 << 2 * (q // 2)) - 1) // 3 << 1)
 
 
@@ -138,29 +138,25 @@ class HiddenVariableModel:
 
 
 def mixture_for_target(
-    target_g: float, angle: RationalAngle
-) -> HiddenVariableModel | None:
-    """Two-component mixture of the optimal and uniform assignments whose
-    correlation equals target_g exactly, or None when the target lies below
-    the achievable minimum.  This comparison is the classicality rule.
+    target: Fraction, m: Fraction, q: int
+) -> HiddenVariableModel:
+    """Two-component mixture of the optimal and uniform assignments on q
+    positions whose correlation equals target exactly; m is the minimum
+    min_correlation of q's parity class, the optimal component's value.
 
-    Resource limit: a reachable target with angle.q > WITNESS_Q_MAX raises
-    ValueError before any assignment is built.
+    The caller decides: target must lie in [m, 1], and HiddenVariableModel
+    rejects a weight outside [0, 1], so a target outside raises ValueError.
+    Resource limit: q > WITNESS_Q_MAX raises ValueError before any
+    assignment is built.
     """
-    if abs(target_g) > 1:
-        raise ValueError("target correlation must lie in [-1, 1]")
-    target = Fraction(target_g)
-    m = min_correlation(classify(angle))
-    if target < m:
-        return None
-    if angle.q > WITNESS_Q_MAX:
+    if q > WITNESS_Q_MAX:
         raise ValueError(
-            f"q = {angle.q} above the witness limit {WITNESS_Q_MAX}"
+            f"q = {q} above the witness limit {WITNESS_Q_MAX}"
         )
     w = (1 - target) / (1 - m)  # weight on the optimal component
     return HiddenVariableModel(
         (
-            (w, optimal_assignment(angle)),
-            (1 - w, uniform_assignment(angle.q)),
+            (w, optimal_assignment(q)),
+            (1 - w, uniform_assignment(q)),
         )
     )

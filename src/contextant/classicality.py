@@ -68,25 +68,26 @@ def _margin(g: float, m_f: float) -> float:
 def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
     """Exact verdict for step angle 2*pi*p/q.
 
-    Classical exactly when mixture_for_target reaches g, that is when g is
-    at least the closed-form minimum: -1 for even q, -(2n-1)/(2n+1) for
-    odd q = 2n+1 (equality reproduces, hence classical).  The witness is
-    that two-component mixture.  Raises ValueError for a classical member
-    whose q exceeds WITNESS_Q_MAX.
+    Classical exactly when Fraction(g) is at least the closed-form minimum
+    m: -1 for even q, -(2n-1)/(2n+1) for odd q = 2n+1 (equality
+    reproduces, hence classical).  Only a Classical member gets a witness,
+    the two-component mixture of mixture_for_target.  Raises ValueError
+    for a Classical member whose q exceeds WITNESS_Q_MAX.
     """
     delta = angle.delta
     g = g_of_delta(delta)
     m = min_correlation(classify(angle))
-    witness = mixture_for_target(g, angle)
+    target = Fraction(g)
+    classical = target >= m
     return ClassicalityVerdict(
-        classical=witness is not None,
+        classical=classical,
         margin=_margin(g, float(m)),
         theta=theta_of_delta(delta),
         delta=delta,
         g=g,
         min_corr=m,
         angle=angle,
-        witness=witness,
+        witness=mixture_for_target(target, m, angle.q) if classical else None,
     )
 
 
@@ -96,7 +97,7 @@ def decide_row(p: int, q: int, m_f: float) -> tuple[bool, float, float, float]:
 
     p/q must be reduced and in [1/4, 1/2] (not checked), and m_f must be
     float(m) for the exact minimum m of q's parity class.  The rule of
-    mixture_for_target is Fraction(g) >= m.  m_f is the float nearest m, so
+    decide_pair_family is Fraction(g) >= m.  m_f is the float nearest m, so
     no float lies strictly between them: for g != m_f that rule is g > m_f.
     Only the tie g == m_f needs m itself, and decide_pair_family decides it;
     for q <= 10000 the only tie is 1/2.
@@ -171,15 +172,6 @@ def find_classical_neighbor(
         if num * best_k < best_num * k:
             best_num, best_k = num, k
     return None, Fraction(best_num, 2 * best_k * q) if best_k else None
-
-
-def condition_p_threshold(n: int) -> float:
-    """Numerator threshold (2n+1)/(2pi) * arccos(-n/(n+1)) for odd
-    denominator 2n+1; the family is nonclassical iff p exceeds it (and
-    p/(2n+1) lies in the negative-correlation window)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (2 * n + 1) / (2.0 * math.pi) * math.acos(-n / (n + 1))
 
 
 def dot_products(n: int) -> int:

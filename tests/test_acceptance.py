@@ -17,7 +17,6 @@ from contextant.angle_family import RationalAngle, classify, g_of_delta
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
     VectorSet,
-    condition_p_threshold,
     decide_pair_family,
     find_classical_neighbor,
     ks_colorability,
@@ -92,8 +91,12 @@ def test_criterion_2_three_statement_oracle_equivalence():
 
 def test_criterion_3_condition_p_threshold():
     start = time.monotonic()
-    assert abs(condition_p_threshold(1) - 1.0) < 1e-12
-    assert decide_pair_family(RationalAngle(1, 3)).classical
+    # n = 1: cos(2 pi/3) = -1/2 puts g on the minimum -1/3, so the
+    # numerator threshold is exactly 1 and 1/3 is the tie
+    one_third = decide_pair_family(RationalAngle(1, 3))
+    assert abs(one_third.g - (-1 / 3)) < 1e-15
+    assert one_third.min_corr == Fraction(-1, 3)
+    assert one_third.classical
     for n in range(2, 51):
         assert not decide_pair_family(RationalAngle(n, 2 * n + 1)).classical
     report("criterion 3: numerator threshold and the n=1 exception", start, 1.0)

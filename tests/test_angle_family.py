@@ -192,4 +192,5 @@ near_rational = st.builds(
 @example(x=0.5, q_max=1)
 def test_best_approximations_match_full_semiconvergent_loop(x, q_max):
     xf = Fraction(x)
-    assert _best_approximations(xf, q_max) == best_approximations_reference(xf, q_max)
+    assert _best_approximations(xf, q_max) == [
+        (f.numerator, f.denominator) for f in best_approximations_reference(xf, q_max)]

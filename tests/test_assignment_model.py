@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contextant._kernel import Q_MAX
@@ -136,35 +136,35 @@ class TestMinCorrelation:
 
 class TestOptimalAssignment:
     def test_quarter(self):
-        a = optimal_assignment(RationalAngle(1, 4))
+        a = optimal_assignment(4)
         assert a.values == (1, -1, 1, -1)
         assert cycle_correlation(a) == Fraction(-1)
 
     def test_pentagram(self):
-        a = optimal_assignment(RationalAngle(2, 5))
+        a = optimal_assignment(5)
         assert a.values == (1, -1, 1, -1, 1)
         assert cycle_correlation(a) == Fraction(-3, 5)
 
     def test_third(self):
-        a = optimal_assignment(RationalAngle(1, 3))
+        a = optimal_assignment(3)
         assert a.values == (1, -1, 1)
         assert cycle_correlation(a) == Fraction(-1, 3)
 
     def test_attains_closed_form_minimum(self):
         for p, q in coprime_pairs(32):
             angle = RationalAngle(p, q)
-            assert cycle_correlation(optimal_assignment(angle)) == min_correlation(
+            assert cycle_correlation(optimal_assignment(q)) == min_correlation(
                 classify(angle)
             )
 
     def test_alternating_up_to_q_200(self):
-        for q, p in dict((q, p) for p, q in coprime_pairs(200)).items():
-            a = optimal_assignment(RationalAngle(p, q))
+        for q in range(2, 201):
+            a = optimal_assignment(q)
             assert a.values == tuple(1 if k % 2 == 0 else -1 for k in range(q))
 
     def test_odd_cycle_has_single_plus_plus_seam(self):
         for q in (3, 5, 7, 9, 11):
-            a = optimal_assignment(RationalAngle((q - 1) // 2, q))
+            a = optimal_assignment(q)
             seams = sum(
                 1
                 for k in range(q)
@@ -208,32 +208,30 @@ class TestBruteForce:
 
 class TestMixtureForTarget:
     def test_symmetric_mixture(self):
-        model = mixture_for_target(0.0, RationalAngle(1, 4))
-        assert model is not None
+        model = mixture_for_target(Fraction(0), Fraction(-1), 4)
         assert model.components[0][0] == Fraction(1, 2)
         assert model.correlation() == 0
 
     def test_unreachable_target(self):
-        assert mixture_for_target(-0.7, RationalAngle(2, 5)) is None
+        with pytest.raises(ValueError, match="nonnegative"):
+            mixture_for_target(Fraction(-0.7), Fraction(-3, 5), 5)
 
     def test_weight_formula(self):
-        model = mixture_for_target(-0.5, RationalAngle(2, 5))
-        assert model is not None
+        model = mixture_for_target(Fraction(-1, 2), Fraction(-3, 5), 5)
         assert model.components[0][0] == Fraction(15, 16)  # 1.5/1.6
         assert model.correlation() == Fraction(-1, 2)
 
     def test_exact_reproduction_and_valid_weights(self):
         rng = np.random.default_rng(3)
         for p, q in coprime_pairs(12):
-            angle = RationalAngle(p, q)
-            target = float(rng.uniform(-1, 1))
-            model = mixture_for_target(target, angle)
-            m = min_correlation(classify(angle))
-            if Fraction(target) < m:
-                assert model is None
+            target = Fraction(float(rng.uniform(-1, 1)))
+            m = min_correlation(classify(RationalAngle(p, q)))
+            if target < m:
+                with pytest.raises(ValueError):
+                    mixture_for_target(target, m, q)
                 continue
-            assert model is not None
-            assert model.correlation() == Fraction(target)
+            model = mixture_for_target(target, m, q)
+            assert model.correlation() == target
             weights = [w for w, _ in model.components]
             assert all(0 <= w <= 1 for w in weights)
             assert sum(weights) == 1
@@ -245,40 +243,45 @@ class TestMixtureForTarget:
 
 
 class TestMixtureRule:
-    """mixture_for_target is where a target is compared with the minimum."""
-
-    def test_kcbs_target_unreachable(self):
-        assert mixture_for_target(-0.7888543819998316, RationalAngle(2, 5)) is None
+    """mixture_for_target reproduces every target in [m, 1] and refuses
+    the rest through HiddenVariableModel's weight checks."""
 
     def test_even_equality_reachable(self):
-        model = mixture_for_target(-1.0, RationalAngle(1, 2))
-        assert model is not None
+        model = mixture_for_target(Fraction(-1), Fraction(-1), 2)
         assert model.correlation() == -1
 
     def test_positive_target_always_reachable(self):
         for p, q in [(2, 7), (3, 8), (1, 3), (1, 4)]:
-            model = mixture_for_target(0.5, RationalAngle(p, q))
-            assert model is not None
+            m = min_correlation(classify(RationalAngle(p, q)))
+            model = mixture_for_target(Fraction(1, 2), m, q)
             assert model.correlation() == Fraction(1, 2)
 
     @given(
         pq=st.sampled_from(list(coprime_pairs(60))),
-        t=st.floats(-1.0, 1.0),
+        t=st.floats(-2.0, 2.0),
     )
-    def test_none_iff_below_minimum(self, pq, t):
+    @example(pq=(1, 2), t=-1.0)
+    @example(pq=(2, 5), t=1.0)
+    @example(pq=(2, 5), t=1.5)  # above 1: the optimal weight is negative
+    def test_reproduces_iff_between_minimum_and_one(self, pq, t):
         angle = RationalAngle(*pq)
-        model = mixture_for_target(t, angle)
-        assert (model is None) == (Fraction(t) < min_correlation(classify(angle)))
-        if model is not None:
-            assert model.correlation() == Fraction(t)
+        m = min_correlation(classify(angle))
+        target = Fraction(t)
+        if not m <= target <= 1:
+            with pytest.raises(ValueError, match="nonnegative"):
+                mixture_for_target(target, m, angle.q)
+            return
+        model = mixture_for_target(target, m, angle.q)
+        assert model.correlation() == target
+        assert all(0 <= w <= 1 for w, _ in model.components)
 
     def test_witness_limit(self):
-        """Above WITNESS_Q_MAX a reachable target is refused before any
-        assignment is built; an unreachable one still returns None."""
+        """Above WITNESS_Q_MAX the builder refuses before any assignment is
+        built."""
         angle = RationalAngle(5_000_000, WITNESS_Q_MAX + 1)
-        assert mixture_for_target(-1.0, angle) is None
         with pytest.raises(ValueError, match="witness limit"):
-            mixture_for_target(0.5, angle)
+            mixture_for_target(
+                Fraction(1, 2), min_correlation(classify(angle)), angle.q)
 
 
 def test_continuum_integral_matches_cycle_correlation():

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import contextant.assignment_model
 import contextant.classicality
 from contextant.angle_family import RationalAngle, classify
-from contextant.assignment_model import brute_force_min, min_correlation
+from contextant.assignment_model import (
+    brute_force_min,
+    min_correlation,
+    mixture_for_target,
+)
 from contextant.classicality import (
     VectorSet,
-    condition_p_threshold,
     decide_pair_family,
     decide_pair_family_generic,
     decide_row,
@@ -101,6 +105,29 @@ class TestDecidePairFamily:
             hv_min, _ = brute_force_min(angle)
             # strict comparison, exact on the hidden-variable side
             assert (Fraction(v.g) < hv_min) == (not v.classical)
+
+    def test_one_minimum_per_member_and_a_witness_only_if_classical(
+            self, monkeypatch):
+        mins, witnesses = [], []
+
+        def counting_min(angle_class):
+            mins.append(angle_class)
+            return min_correlation(angle_class)
+
+        def counting_witness(*args):
+            witnesses.append(args)
+            return mixture_for_target(*args)
+
+        # patch every module that holds the names, as perfbench/spans.py does
+        for module in (contextant.classicality, contextant.assignment_model):
+            monkeypatch.setattr(module, "min_correlation", counting_min)
+            monkeypatch.setattr(module, "mixture_for_target", counting_witness)
+        for p, q in [(2, 5), (1, 3), (1, 2), (50000, 199999)]:
+            mins.clear()
+            witnesses.clear()
+            v = decide_pair_family(RationalAngle(p, q))
+            assert len(mins) == 1, (p, q)
+            assert len(witnesses) == v.classical, (p, q)
 
 
 def linear_scan_neighbor(angle, eps_frac, q_max):
@@ -205,6 +232,15 @@ class TestGenericVerdict:
         v = decide_pair_family_generic()
         assert v.classical
         assert v.margin <= 0
+
+
+def condition_p_threshold(n: int) -> float:
+    """Oracle: numerator threshold (2n+1)/(2pi) * arccos(-n/(n+1)) for odd
+    denominator 2n+1; the member is Nonclassical iff p exceeds it (and
+    p/(2n+1) lies in the negative-correlation window).  acos near -1 is
+    ill-conditioned, its error growing like q^1.5, so it is used only for
+    q <= 2001."""
+    return (2 * n + 1) / (2.0 * math.pi) * math.acos(-n / (n + 1))
 
 
 class TestConditionPThreshold:

@@ -159,7 +159,7 @@ class TestScan:
         assert a == b
 
     def test_even_q_rows_classical_odd_nonclassical_above_threshold(self):
-        from contextant.classicality import condition_p_threshold
+        from test_classicality import condition_p_threshold
 
         r = run_cli("scan", "--q-max", "40")
         for line in r.stdout.splitlines()[1:]:
