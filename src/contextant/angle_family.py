@@ -114,10 +114,6 @@ class RationalAngle:
             raise ValueError("step angle 2*pi*p/q does not fit a float")
         return delta
 
-    @property
-    def theta(self) -> float:
-        return theta_of_delta(self.delta)
-
 
 @dataclass(frozen=True)
 class AngleClass:
@@ -134,11 +130,10 @@ class AngleClass:
             raise ValueError("parity class requires n >= 1")
 
 
-def classify(angle: RationalAngle) -> AngleClass:
-    """Even denominator q = 2n or odd denominator q = 2n+1."""
-    if angle.q % 2 == 0:
-        return AngleClass("even", angle.q // 2)
-    return AngleClass("odd", angle.q // 2)
+def classify(q: int) -> AngleClass:
+    """Parity class of the denominator q >= 2: even q = 2n or odd
+    q = 2n+1.  Only assignment_model.min_correlation calls it."""
+    return AngleClass("odd" if q % 2 else "even", q // 2)
 
 
 def _best_approximations(x: Fraction, q_max: int) -> list[tuple[int, int]]:
@@ -179,11 +174,12 @@ def _best_approximations(x: Fraction, q_max: int) -> list[tuple[int, int]]:
 
 def rational_approximants(
     delta: float, q_max: int
-) -> list[tuple[RationalAngle, float]]:
-    """Best rational approximations of delta/2pi with denominator <= q_max.
+) -> list[tuple[int, int, float]]:
+    """Best rational approximations p/q of x = delta/2pi with q <= q_max.
 
-    Returns (angle, |delta/2pi - p/q|) pairs sorted by distance; fractions
-    outside [1/4, 1/2] are dropped.
+    Returns (p, q, |x - p/q|) triples sorted by (distance, q); fractions
+    outside [1/4, 1/2] are dropped.  Each p/q is in lowest terms (see
+    _best_approximations), so it is a valid RationalAngle, but none is built.
     """
     if not delta_in_range(delta):
         raise ValueError(f"delta = {delta!r} outside [pi/2, pi]")
@@ -194,6 +190,6 @@ def rational_approximants(
     for p, q in _best_approximations(Fraction(x), q_max):
         if q <= 4 * p <= 2 * q:
             # p / q rounds correctly, as float(Fraction(p, q)) does: the same float
-            results.append((RationalAngle(p, q), abs(x - p / q)))
-    results.sort(key=lambda t: (t[1], t[0].q))
+            results.append((p, q, abs(x - p / q)))
+    results.sort(key=lambda t: (t[2], t[1]))
     return results

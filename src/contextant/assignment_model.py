@@ -1,7 +1,7 @@
 """Hidden-variable outcome functions on the circle.
 
 Cycle assignments (arc-piecewise-constant +-1 functions), their exact
-correlation, the closed-form minima for the three parity classes, the
+correlation, the closed-form minima for the two parity classes of q, the
 optimal construction, an independent exact-minimum oracle, and the mixture
 that reproduces the correlation of a member already decided Classical.
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import min_cycle_sum
-from .angle_family import AngleClass, RationalAngle
+from .angle_family import classify
 
 
 class ExclusivityError(ValueError):
@@ -77,10 +77,11 @@ def cycle_correlation(a: CycleAssignment) -> Fraction:
     return Fraction(a.q - 2 * (a.mask ^ _rot1(a.mask, a.q)).bit_count(), a.q)
 
 
-def min_correlation(angle_class: AngleClass) -> Fraction:
+def min_correlation(q: int) -> Fraction:
     """Closed-form minimum of the normalized correlation over admissible
-    assignments: -1 for even denominator q = 2n, -(2n-1)/(2n+1) for odd
-    denominator q = 2n+1."""
+    assignments on q >= 2 cycle positions: -1 for even q = 2n,
+    -(2n-1)/(2n+1) for odd q = 2n+1.  It depends only on the parity of q."""
+    angle_class = classify(q)
     if angle_class.parity == "odd":
         n = angle_class.n
         return Fraction(-(2 * n - 1), 2 * n + 1)
@@ -102,8 +103,9 @@ def uniform_assignment(q: int) -> CycleAssignment:
     return CycleAssignment(q, 0)
 
 
-def brute_force_min(angle: RationalAngle) -> tuple[Fraction, CycleAssignment]:
-    """Exact minimum over all 2^q sign vectors respecting exclusivity.
+def brute_force_min(q: int) -> tuple[Fraction, CycleAssignment]:
+    """Exact minimum over all 2^q sign vectors on q cycle positions
+    respecting exclusivity, with its minimizer.
 
     Independent oracle for min_correlation: a min-plus transfer-matrix
     sweep around the cycle that never looks at the parity of q, with the
@@ -113,8 +115,8 @@ def brute_force_min(angle: RationalAngle) -> tuple[Fraction, CycleAssignment]:
     Resource limit: q <= _kernel.Q_MAX (100,000); min_cycle_sum raises
     ValueError for larger q.
     """
-    best_sum, best_mask = min_cycle_sum(angle.q)
-    return Fraction(best_sum, angle.q), CycleAssignment(angle.q, best_mask)
+    best_sum, best_mask = min_cycle_sum(q)
+    return Fraction(best_sum, q), CycleAssignment(q, best_mask)
 
 
 @dataclass(frozen=True)

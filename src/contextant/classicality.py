@@ -11,7 +11,6 @@ from fractions import Fraction
 from .angle_family import (
     Direction,
     RationalAngle,
-    classify,
     g_of_delta,
     theta_of_delta,
 )
@@ -35,13 +34,13 @@ VERDICT = ("Nonclassical", "Classical")  # indexed by the classical flag
 
 @dataclass(frozen=True)
 class ClassicalityVerdict:
-    """Outcome of the hidden-variable decision for one family member.
+    """Outcome of the hidden-variable decision for the member angle.
 
     min_corr is the exact classical minimum of the member's parity class.
-    Classical verdicts carry a mixture witness reproducing the quantum
-    correlation g exactly; a nonclassical verdict's certificate is g
-    against min_corr, which g lies below.  The margin is positive iff
-    nonclassical.
+    A Classical verdict's witness is a mixture reproducing the quantum
+    correlation g exactly; a Nonclassical verdict has witness None, and its
+    certificate is g against min_corr, which g lies below.  The margin is
+    positive iff nonclassical.
     """
 
     classical: bool
@@ -50,9 +49,8 @@ class ClassicalityVerdict:
     delta: float
     g: float
     min_corr: Fraction
-    angle: RationalAngle | None = None
-    witness: HiddenVariableModel | None = None
-    note: str = ""
+    angle: RationalAngle
+    witness: HiddenVariableModel | None
 
     @property
     def verdict(self) -> str:
@@ -76,7 +74,7 @@ def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
     """
     delta = angle.delta
     g = g_of_delta(delta)
-    m = min_correlation(classify(angle))
+    m = min_correlation(angle.q)
     target = Fraction(g)
     classical = target >= m
     return ClassicalityVerdict(
@@ -109,24 +107,16 @@ def decide_row(p: int, q: int, m_f: float) -> tuple[bool, float, float, float]:
     return classical, _margin(g, m_f), theta_of_delta(delta), g
 
 
-def decide_pair_family_generic() -> ClassicalityVerdict:
-    """Verdict for any irrational step fraction: classical.
+def decide_pair_family_generic() -> tuple[bool, str]:
+    """(classical, reason) for any irrational step fraction: classical.
 
     The alternating assignment along the infinite orbit reaches
     correlation -1, so every quantum value is reproducible.
     """
-    return ClassicalityVerdict(
-        classical=True,
-        margin=0.0,
-        theta=float("nan"),
-        delta=float("nan"),
-        g=float("nan"),
-        min_corr=Fraction(-1),
-        note=(
-            "irrational step: alternating assignment attains correlation -1; "
-            "any target in [-1, 1] is reproducible by mixing with the "
-            "uniform assignment"
-        ),
+    return True, (
+        "irrational step: alternating assignment attains correlation -1; "
+        "any target in [-1, 1] is reproducible by mixing with the "
+        "uniform assignment"
     )
 
 

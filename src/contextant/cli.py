@@ -17,7 +17,6 @@ from fractions import Fraction
 from .angle_family import (
     Direction,
     RationalAngle,
-    classify,
     delta_of_theta,
     g_of_theta,
     rational_approximants,
@@ -131,7 +130,7 @@ def _scan_chunks(q_max: int):
         ps = [p for p in range(-(-q // 4), q // 2 + 1) if math.gcd(p, q) == 1]
         if not ps:
             continue
-        m_f = float(min_correlation(classify(RationalAngle(ps[0], q))))
+        m_f = float(min_correlation(q))
         m_text = _fmt(m_f)
         lines = []
         for p in ps:
@@ -217,35 +216,34 @@ def cmd_verdict(args) -> None:
         print("\n".join(_verdict_lines(_decide(_angle(args)))))
         return
     delta = delta_of_theta(args.theta)
-    generic = decide_pair_family_generic()
+    classical, note = decide_pair_family_generic()
     print("generic (irrational-type) verdict for float input:")
-    print(f"  verdict: {generic.verdict}")
-    print(f"  note: {generic.note}")
+    print(f"  verdict: {VERDICT[classical]}")
+    print(f"  note: {note}")
     print(f"  theta: {_fmt(args.theta)}  delta: {_fmt(delta)}  "
           f"g: {_fmt(g_of_theta(args.theta))}")
     approx = [
-        (a, d)
-        for a, d in rational_approximants(delta, args.q_max)
+        (p, q, d)
+        for p, q, d in rational_approximants(delta, args.q_max)
         if d <= args.tolerance
     ]
     print(f"rational approximants with q <= {args.q_max} "
           f"within {_fmt(args.tolerance)} of delta/2pi:")
     if not approx:
         print("  (none)")
-    for a, d in approx:
-        classical, margin, _, _ = decide_row(
-            a.p, a.q, float(min_correlation(classify(a))))
-        print(f"  {a.p}/{a.q} (distance {_fmt(d)}): {VERDICT[classical]}, "
+    for p, q, d in approx:
+        classical, margin, _, _ = decide_row(p, q, float(min_correlation(q)))
+        print(f"  {p}/{q} (distance {_fmt(d)}): {VERDICT[classical]}, "
               f"margin {_fmt(margin)}")
 
 
 def cmd_oracle(args) -> None:
     angle = _angle(args)
-    corr, assignment = _or_exit(EXIT_RESOURCE, brute_force_min, angle)
+    corr, assignment = _or_exit(EXIT_RESOURCE, brute_force_min, angle.q)
     print(f"p/q: {args.p}/{args.q}")
     print(f"min correlation: {corr} = {_fmt(float(corr))}")
     print(f"minimizer: ({assignment.signs})")
-    closed = min_correlation(classify(angle))
+    closed = min_correlation(angle.q)
     print(f"closed form: {closed} ({'agree' if closed == corr else 'DISAGREE'})")
     if closed != corr:
         raise Exit(EXIT_CHECK_FAILED,

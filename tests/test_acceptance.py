@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from contextant.angle_family import RationalAngle, classify, g_of_delta
+from contextant.angle_family import RationalAngle, g_of_delta, theta_of_delta
 from contextant.assignment_model import brute_force_min, min_correlation
 from contextant.classicality import (
     VectorSet,
@@ -54,7 +54,8 @@ def test_criterion_1_kcbs_reproduction():
     target = 5 - 4 * math.sqrt(5)
 
     # route 1: matrix expectation, summed over the 5 cyclic pairs
-    theta, delta = angle.theta, angle.delta
+    delta = angle.delta
+    theta = theta_of_delta(delta)
     rho = minus_one_eigenprojector(dichotomic(Z))
     quantum_sum = sum(
         expectation(
@@ -72,8 +73,8 @@ def test_criterion_1_kcbs_reproduction():
     assert 5 * g_of_delta(delta) == pytest.approx(target, abs=1e-9)
 
     # hidden-variable side, both routes exact
-    bf, _ = brute_force_min(angle)
-    assert bf == min_correlation(classify(angle)) == Fraction(-3, 5)
+    bf, _ = brute_force_min(angle.q)
+    assert bf == min_correlation(angle.q) == Fraction(-3, 5)
     assert 5 * bf == -3
 
     assert not decide_pair_family(angle).classical
@@ -83,7 +84,7 @@ def test_criterion_1_kcbs_reproduction():
 def test_criterion_2_three_statement_oracle_equivalence():
     start = time.monotonic()
     for p, q in coprime_pairs(16):
-        bf, _ = brute_force_min(RationalAngle(p, q))
+        bf, _ = brute_force_min(q)
         expected = Fraction(-1) if q % 2 == 0 else Fraction(-(q - 2), q)
         assert bf == expected, (p, q)
     report("criterion 2: three-statement oracle equivalence (q <= 16)", start, 30.0)
@@ -133,7 +134,7 @@ def test_criterion_5_classical_witness_exactness():
         assert v.witness.correlation() == Fraction(v.g)
         assert abs(float(v.witness.correlation()) - v.g) < 1e-12
         w = v.witness.components[0][0]
-        m = min_correlation(classify(v.angle))
+        m = min_correlation(v.angle.q)
         assert v.min_corr == m
         assert w == (1 - Fraction(v.g)) / (1 - m)
         checked += 1
@@ -175,7 +176,8 @@ def test_criterion_7_colorability_sanity():
     assert sum(minus) == 1  # post-hoc: exactly one -1 in the triple
 
     angle = RationalAngle(2, 5)
-    theta, delta = angle.theta, angle.delta
+    delta = angle.delta
+    theta = theta_of_delta(delta)
     pent = VectorSet([direction_from_angles(theta, j * delta) for j in range(5)])
     assert not pent.triples
     pres = ks_colorability(pent, "strict")

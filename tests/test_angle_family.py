@@ -109,39 +109,52 @@ class TestRationalAngle:
         assert RationalAngle(p, q).delta == 2.0 * math.pi * p / q
 
     def test_classify(self):
-        assert classify(RationalAngle(2, 5)) == AngleClass("odd", 2)
-        assert classify(RationalAngle(1, 2)) == AngleClass("even", 1)
-        assert classify(RationalAngle(1, 3)) == AngleClass("odd", 1)
+        assert classify(5) == AngleClass("odd", 2)
+        assert classify(2) == AngleClass("even", 1)
+        assert classify(3) == AngleClass("odd", 1)
 
 
 class TestRationalApproximants:
     def test_exact_fraction_found(self):
         res = rational_approximants(0.4 * 2 * math.pi, 10)
-        angle, dist = res[0]
-        assert (angle.p, angle.q) == (2, 5)
-        assert dist == 0.0
+        assert res[0] == (2, 5, 0.0)
 
     def test_nine_twentieths(self):
         res = rational_approximants(0.45 * 2 * math.pi, 20)
-        assert any((a.p, a.q) == (9, 20) and d == 0.0 for a, d in res)
+        assert (9, 20, 0.0) in res
 
     def test_boundary_angle_straddle(self):
         # arccos(-1/3)/2pi ~ 0.3041; nearest approximants must bracket it
         x = math.acos(-1 / 3) / (2 * math.pi)
         res = rational_approximants(math.acos(-1 / 3), 100)
-        below = [a for a, _ in res if a.p / a.q < x]
-        above = [a for a, _ in res if a.p / a.q > x]
+        below = [(p, q) for p, q, _ in res if p / q < x]
+        above = [(p, q) for p, q, _ in res if p / q > x]
         assert below and above
-        assert res[0][1] < 1e-3
+        assert res[0][2] < 1e-3
 
     def test_sorted_by_distance(self):
         res = rational_approximants(1.9, 50)
-        dists = [d for _, d in res]
+        dists = [d for _, _, d in res]
         assert dists == sorted(dists)
 
     def test_all_within_family_range(self):
-        for a, _ in rational_approximants(2.2, 200):
-            assert Fraction(1, 4) <= Fraction(a.p, a.q) <= Fraction(1, 2)
+        for p, q, _ in rational_approximants(2.2, 200):
+            assert Fraction(1, 4) <= Fraction(p, q) <= Fraction(1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(delta=st.floats(math.pi / 2, math.pi), q_max=st.integers(2, 10_000))
+    @example(delta=math.pi / 2, q_max=2)  # 1/4 itself
+    @example(delta=math.pi, q_max=2)  # 1/2 itself
+    @example(delta=2 * math.pi * (1 / 3 + 1e-7), q_max=10_000)  # one huge quotient
+    def test_triples_are_reduced_members_at_their_distance(self, delta, q_max):
+        """No RationalAngle checks the triples, so check what it would."""
+        x = delta / (2 * math.pi)
+        res = rational_approximants(delta, q_max)
+        for p, q, d in res:
+            assert math.gcd(p, q) == 1 and 2 <= q <= q_max
+            assert q <= 4 * p <= 2 * q
+            assert d == abs(x - p / q)
+        assert res == sorted(res, key=lambda t: (t[2], t[1]))
 
 
 def best_approximations_reference(x: Fraction, q_max: int) -> list[Fraction]:

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contextant._kernel import Q_MAX
-from contextant.angle_family import AngleClass, RationalAngle, classify
 from contextant.assignment_model import (
     WITNESS_Q_MAX,
     CycleAssignment,
@@ -126,12 +125,12 @@ class TestCycleCorrelation:
 
 class TestMinCorrelation:
     def test_odd(self):
-        assert min_correlation(AngleClass("odd", 2)) == Fraction(-3, 5)
-        assert min_correlation(AngleClass("odd", 1)) == Fraction(-1, 3)
+        assert min_correlation(5) == Fraction(-3, 5)
+        assert min_correlation(3) == Fraction(-1, 3)
 
     def test_even(self):
-        assert min_correlation(AngleClass("even", 1)) == Fraction(-1)
-        assert min_correlation(AngleClass("even", 10)) == Fraction(-1)
+        assert min_correlation(2) == Fraction(-1)
+        assert min_correlation(20) == Fraction(-1)
 
 
 class TestOptimalAssignment:
@@ -152,10 +151,7 @@ class TestOptimalAssignment:
 
     def test_attains_closed_form_minimum(self):
         for p, q in coprime_pairs(32):
-            angle = RationalAngle(p, q)
-            assert cycle_correlation(optimal_assignment(q)) == min_correlation(
-                classify(angle)
-            )
+            assert cycle_correlation(optimal_assignment(q)) == min_correlation(q)
 
     def test_alternating_up_to_q_200(self):
         for q in range(2, 201):
@@ -175,35 +171,33 @@ class TestOptimalAssignment:
 
 class TestBruteForce:
     def test_pentagram(self):
-        corr, a = brute_force_min(RationalAngle(2, 5))
+        corr, a = brute_force_min(5)
         assert corr == Fraction(-3, 5)
         assert cycle_correlation(a) == corr
 
     def test_half(self):
-        corr, a = brute_force_min(RationalAngle(1, 2))
+        corr, a = brute_force_min(2)
         assert corr == Fraction(-1)
         assert set(a.values) == {1, -1}
 
     def test_matches_closed_form_exhaustively(self):
         for p, q in coprime_pairs(16):
-            angle = RationalAngle(p, q)
-            corr, _ = brute_force_min(angle)
-            assert corr == min_correlation(classify(angle))
+            corr, _ = brute_force_min(q)
+            assert corr == min_correlation(q)
 
     def test_matches_naive_oracle(self):
         for p, q in coprime_pairs(10):
-            corr, _ = brute_force_min(RationalAngle(p, q))
+            corr, _ = brute_force_min(q)
             assert corr == naive_min(q)
 
     def test_deterministic_minimizer(self):
-        a1 = brute_force_min(RationalAngle(3, 7))[1]
-        a2 = brute_force_min(RationalAngle(3, 7))[1]
+        a1 = brute_force_min(7)[1]
+        a2 = brute_force_min(7)[1]
         assert a1 == a2
 
     def test_resource_guard(self):
-        # 40000 is coprime to Q_MAX + 1 = 100001 = 11 * 9091
         with pytest.raises(ValueError):
-            brute_force_min(RationalAngle(40000, Q_MAX + 1))
+            brute_force_min(Q_MAX + 1)
 
 
 class TestMixtureForTarget:
@@ -225,7 +219,7 @@ class TestMixtureForTarget:
         rng = np.random.default_rng(3)
         for p, q in coprime_pairs(12):
             target = Fraction(float(rng.uniform(-1, 1)))
-            m = min_correlation(classify(RationalAngle(p, q)))
+            m = min_correlation(q)
             if target < m:
                 with pytest.raises(ValueError):
                     mixture_for_target(target, m, q)
@@ -252,7 +246,7 @@ class TestMixtureRule:
 
     def test_positive_target_always_reachable(self):
         for p, q in [(2, 7), (3, 8), (1, 3), (1, 4)]:
-            m = min_correlation(classify(RationalAngle(p, q)))
+            m = min_correlation(q)
             model = mixture_for_target(Fraction(1, 2), m, q)
             assert model.correlation() == Fraction(1, 2)
 
@@ -264,32 +258,30 @@ class TestMixtureRule:
     @example(pq=(2, 5), t=1.0)
     @example(pq=(2, 5), t=1.5)  # above 1: the optimal weight is negative
     def test_reproduces_iff_between_minimum_and_one(self, pq, t):
-        angle = RationalAngle(*pq)
-        m = min_correlation(classify(angle))
+        q = pq[1]
+        m = min_correlation(q)
         target = Fraction(t)
         if not m <= target <= 1:
             with pytest.raises(ValueError, match="nonnegative"):
-                mixture_for_target(target, m, angle.q)
+                mixture_for_target(target, m, q)
             return
-        model = mixture_for_target(target, m, angle.q)
+        model = mixture_for_target(target, m, q)
         assert model.correlation() == target
         assert all(0 <= w <= 1 for w, _ in model.components)
 
     def test_witness_limit(self):
         """Above WITNESS_Q_MAX the builder refuses before any assignment is
         built."""
-        angle = RationalAngle(5_000_000, WITNESS_Q_MAX + 1)
+        q = WITNESS_Q_MAX + 1
         with pytest.raises(ValueError, match="witness limit"):
-            mixture_for_target(
-                Fraction(1, 2), min_correlation(classify(angle)), angle.q)
+            mixture_for_target(Fraction(1, 2), min_correlation(q), q)
 
 
 def test_continuum_integral_matches_cycle_correlation():
     """Fine-grid quadrature of the arc-piecewise-constant function agrees
     with the exact cycle correlation."""
     for p, q in [(2, 5), (1, 4), (3, 7), (5, 12)]:
-        angle = RationalAngle(p, q)
-        corr, a = brute_force_min(angle)
+        corr, a = brute_force_min(q)
         # value on arc j = value at the cycle position k occupying it: the
         # k-th step of 2*pi*p/q lands on arc k*p mod q, a bijection for
         # coprime p and q

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import contextant.assignment_model
 import contextant.classicality
-from contextant.angle_family import RationalAngle, classify
+from contextant.angle_family import RationalAngle, theta_of_delta
 from contextant.assignment_model import (
     brute_force_min,
     min_correlation,
@@ -94,15 +94,15 @@ class TestDecidePairFamily:
         for p, q in coprime_pairs(16):
             angle = RationalAngle(p, q)
             v = decide_pair_family(angle)
-            theta = angle.theta
             delta = angle.delta
+            theta = theta_of_delta(delta)
             ops = [
                 dichotomic(direction_from_angles(theta, 0.0)),
                 dichotomic(direction_from_angles(theta, delta)),
             ]
             quantum = expectation(rho, ops)
             assert quantum == pytest.approx(v.g, abs=1e-12)
-            hv_min, _ = brute_force_min(angle)
+            hv_min, _ = brute_force_min(q)
             # strict comparison, exact on the hidden-variable side
             assert (Fraction(v.g) < hv_min) == (not v.classical)
 
@@ -110,9 +110,9 @@ class TestDecidePairFamily:
             self, monkeypatch):
         mins, witnesses = [], []
 
-        def counting_min(angle_class):
-            mins.append(angle_class)
-            return min_correlation(angle_class)
+        def counting_min(q):
+            mins.append(q)
+            return min_correlation(q)
 
         def counting_witness(*args):
             witnesses.append(args)
@@ -186,7 +186,7 @@ class TestFindClassicalNeighbor:
 
 
 def row_of(angle):
-    return decide_row(angle.p, angle.q, float(min_correlation(classify(angle))))
+    return decide_row(angle.p, angle.q, float(min_correlation(angle.q)))
 
 
 def same_bits(row, v):
@@ -229,9 +229,9 @@ class TestDecideRow:
 
 class TestGenericVerdict:
     def test_classical(self):
-        v = decide_pair_family_generic()
-        assert v.classical
-        assert v.margin <= 0
+        classical, note = decide_pair_family_generic()
+        assert classical
+        assert "correlation -1" in note
 
 
 def condition_p_threshold(n: int) -> float:
@@ -312,7 +312,8 @@ class TestKsColorability:
 
     def test_pentagram_pairs_only(self):
         angle = RationalAngle(2, 5)
-        theta, delta = angle.theta, angle.delta
+        delta = angle.delta
+        theta = theta_of_delta(delta)
         vecs = [direction_from_angles(theta, j * delta) for j in range(5)]
         vset = VectorSet(vecs)
         assert len(vset.pairs) == 5

@@ -379,3 +379,25 @@ class TestKsColor:
         assert main(["ks-color", str(f)]) == 0
         assert capsys.readouterr() == (
             "vectors: 3  orthogonal pairs: 3  triples: 1\nSAT (++-)\ncolorings: 3\n", "")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verdict", "--theta", "0.9553156690398642", "--q-max", "1000"], []),
+    (["scan", "--q-max", "300"], [(1, 2)]),  # decide_row's exact tie
+    (["oracle", "--p", "2", "--q", "5"], [(2, 5)]),  # its own input
+])
+def test_a_member_is_built_only_where_it_is_certified(argv, built, monkeypatch,
+                                                       capsys):
+    """Batch paths pass (p, q) as integers; a RationalAngle is built only
+    for a member from the command line or for an exact tie."""
+    made = []
+    check = angle_family.RationalAngle.__post_init__
+
+    def counting(self):
+        made.append((self.p, self.q))
+        check(self)
+
+    monkeypatch.setattr(angle_family.RationalAngle, "__post_init__", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert made == built
