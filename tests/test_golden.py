@@ -22,7 +22,10 @@ print the same bytes:
   Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
   them, as printed by the recursive backtracking search;
 - `quantum-check`, as printed while the fixed state was rebuilt for every
-  sample.
+  sample; seeds 0-9 at 200 samples only by sha256, as printed while
+  `direction_from_angles` normalised with numpy and the state was a
+  `DensityMatrix` record.  Seed 42 alone misses changes in the last bits
+  of the directions: a `math.hypot` normalisation leaves it unchanged.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -130,3 +133,26 @@ def test_ks_color_matches_golden_file(name, tmp_path, capsys):
     path.write_text("".join(rays[i] + "\n" for i in rows), encoding="utf-8")
     assert main(["ks-color", str(path), "--mode", mode]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden(name, "out")
+
+
+# seed -> sha256 of `quantum-check --samples 200 --seed <seed>` stdout
+QUANTUM_CHECK_200_SHA256 = {
+    0: "8214bb87c427d6a1a2c5add80a97ed8d287e5f857d22d1a75dd16806124c41ec",
+    1: "21dff40c655fb1b890d08aac8d595b46343042f735aa9c6255635357cc232eb5",
+    2: "167af4e5809f314b97ce3ae2fce342343e65ce722bfe6fba30717be11c69ec4f",
+    3: "d4b723d5c61e3d5ef8b730355fbcd412aabf4d0b3d5be7ead09e9a913a370b64",
+    4: "b2d078bd312fe7a941707c9a93849fcb80b072d7f92ab4d1f94f8451ab19a2d6",
+    5: "d6b46106a993e4b2c04e0da739c6c46ff91fc4e9e9720fe111c003d1468fe23f",
+    6: "711952ccf42d967ad226912225a02830e60456ff0daf17f6d323c47f0e3520b4",
+    7: "412bab0c7193e073bfa4e457980c4c6ea307e6d6bf2c778bfcb5a13025dd46d5",
+    8: "4ec24bf27f5c56fd6e022cfab36d83412b0cee2445c90fae376d613c507637ec",
+    9: "561f45c6e1b6041406b8ea28768f84c1abc070af679f57e486ba353a7302d1d2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(QUANTUM_CHECK_200_SHA256))
+def test_quantum_check_matches_digest(seed, capsys):
+    assert main(["quantum-check", "--samples", "200", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        QUANTUM_CHECK_200_SHA256[seed]), out
