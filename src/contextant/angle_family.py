@@ -2,8 +2,8 @@
 
 Unit directions in R^3, the compatibility angle between successive
 measurement directions at tilt theta, its inverse, the quantum pair
-correlation g, exact rational-angle representation with parity
-classification, and best rational approximation of a float angle.
+correlation g, exact rational angles and the parity class (odd, n) of a
+denominator, and best rational approximation of a float angle.
 """
 
 from __future__ import annotations
@@ -115,25 +115,12 @@ class RationalAngle:
         return delta
 
 
-@dataclass(frozen=True)
-class AngleClass:
-    """Parity class of a step angle: even denominator q = 2n or odd
-    denominator q = 2n+1."""
-
-    parity: str  # "even" | "odd"
-    n: int
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"unknown parity {self.parity!r}")
-        if self.n < 1:
-            raise ValueError("parity class requires n >= 1")
-
-
-def classify(q: int) -> AngleClass:
-    """Parity class of the denominator q >= 2: even q = 2n or odd
-    q = 2n+1.  Only assignment_model.min_correlation calls it."""
-    return AngleClass("odd" if q % 2 else "even", q // 2)
+def classify(q: int) -> tuple[bool, int]:
+    """Parity class of the denominator q >= 2 as (odd, n): even q = 2n or
+    odd q = 2n+1.  Only assignment_model.min_correlation calls it."""
+    if q < 2:
+        raise ValueError(f"parity class requires q >= 2, got {q}")
+    return q % 2 == 1, q // 2
 
 
 def _best_approximations(x: Fraction, q_max: int) -> list[tuple[int, int]]:

@@ -79,13 +79,10 @@ def cycle_correlation(a: CycleAssignment) -> Fraction:
 
 def min_correlation(q: int) -> Fraction:
     """Closed-form minimum of the normalized correlation over admissible
-    assignments on q >= 2 cycle positions: -1 for even q = 2n,
-    -(2n-1)/(2n+1) for odd q = 2n+1.  It depends only on the parity of q."""
-    angle_class = classify(q)
-    if angle_class.parity == "odd":
-        n = angle_class.n
-        return Fraction(-(2 * n - 1), 2 * n + 1)
-    return Fraction(-1)
+    assignments on q >= 2 cycle positions (ValueError otherwise): -1 for
+    even q = 2n, -(2n-1)/(2n+1) for odd q = 2n+1, by the parity of q."""
+    odd, n = classify(q)
+    return Fraction(-(2 * n - 1), 2 * n + 1) if odd else Fraction(-1)
 
 
 def optimal_assignment(q: int) -> CycleAssignment:

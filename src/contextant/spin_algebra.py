@@ -1,14 +1,13 @@
 """Spin-1 operator algebra on 3x3 complex matrices.
 
-Spin operators along unit directions, the dichotomic observables built
-from squared spin components, density matrices, expectation values of
+Spin operators along unit directions, dichotomic observables from squared
+spin components, density matrices as 3x3 arrays, expectation values of
 commuting products, and the orthogonal-triple product identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,26 +60,7 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ b - b @ a))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite 3x3 matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError("density matrix must be 3x3")
-        if np.linalg.norm(m - m.conj().T) > ALGEBRA_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > ALGEBRA_TOL:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(m).min() < -ALGEBRA_TOL:
-            raise ValueError("density matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", m)
-
-
-def expectation(rho: DensityMatrix, ops: list[np.ndarray]) -> float:
+def expectation(rho: np.ndarray, ops: list[np.ndarray]) -> float:
     """Tr(rho A B ...) for pairwise-commuting observables A, B, ...
 
     Raises CompatibilityError if any pair of the operators fails to commute
@@ -99,22 +79,25 @@ def expectation(rho: DensityMatrix, ops: list[np.ndarray]) -> float:
     prod = IDENTITY
     for op in ops:
         prod = prod @ op
-    val = complex(np.trace(rho.matrix @ prod))
+    val = complex(np.trace(rho @ prod))
     if abs(val.imag) > COMPAT_TOL:
         raise CompatibilityError(f"expectation has imaginary part {val.imag:.3e}")
     return val.real
 
 
-def minus_one_eigenprojector(a: np.ndarray) -> DensityMatrix:
-    """Rank-1 projector onto the -1 eigenspace of a dichotomic observable.
+def minus_one_eigenprojector(a: np.ndarray) -> np.ndarray:
+    """Projector (I - a)/2 onto the -1 eigenspace of a dichotomic observable.
 
-    For a with a^2 = I and trace 1 the projector is (I - a)/2.
+    a must be Hermitian with a^2 = I and trace 1; then the projector's
+    eigenvalues are 0, 0, 1 within COMPAT_TOL, so it is a density matrix.
     """
+    if np.linalg.norm(a - a.conj().T) > ALGEBRA_TOL:
+        raise ValueError("operator is not Hermitian")
     if np.linalg.norm(a @ a - IDENTITY) > COMPAT_TOL:
         raise ValueError("operator does not square to identity")
     if abs(np.trace(a).real - 1.0) > COMPAT_TOL:
         raise ValueError("operator does not have trace 1")
-    return DensityMatrix((IDENTITY - a) / 2.0)
+    return (IDENTITY - a) / 2.0
 
 
 def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextant.angle_family import (
-    AngleClass,
     RationalAngle,
     _best_approximations,
     classify,
@@ -109,9 +108,13 @@ class TestRationalAngle:
         assert RationalAngle(p, q).delta == 2.0 * math.pi * p / q
 
     def test_classify(self):
-        assert classify(5) == AngleClass("odd", 2)
-        assert classify(2) == AngleClass("even", 1)
-        assert classify(3) == AngleClass("odd", 1)
+        assert classify(5) == (True, 2)
+        assert classify(2) == (False, 1)
+        assert classify(3) == (True, 1)
+
+    def test_classify_rejects_q_below_2(self):
+        with pytest.raises(ValueError):
+            classify(1)
 
 
 class TestRationalApproximants:

@@ -132,6 +132,11 @@ class TestMinCorrelation:
         assert min_correlation(2) == Fraction(-1)
         assert min_correlation(20) == Fraction(-1)
 
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_rejects_q_below_2(self, q):
+        with pytest.raises(ValueError):
+            min_correlation(q)
+
 
 class TestOptimalAssignment:
     def test_quarter(self):

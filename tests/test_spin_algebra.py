@@ -8,7 +8,6 @@ from contextant.spin_algebra import (
     IDENTITY,
     SPIN_X,
     CompatibilityError,
-    DensityMatrix,
     Direction,
     commutator_norm,
     dichotomic,
@@ -41,7 +40,7 @@ def random_orthonormal_triple(rng=RNG):
 def random_density_matrix(rng=RNG):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 class TestDirection:
@@ -163,18 +162,25 @@ class TestCommutatorNorm:
 class TestMinusOneEigenprojector:
     def test_z_axis(self):
         p = minus_one_eigenprojector(dichotomic(Z))
-        assert np.allclose(p.matrix, np.diag([0, 1, 0]), atol=1e-15)
+        assert np.allclose(p, np.diag([0, 1, 0]), atol=1e-15)
 
     def test_idempotent_and_eigenstate(self):
         for _ in range(10):
             a = dichotomic(random_direction())
             p = minus_one_eigenprojector(a)
-            assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-12
+            assert np.linalg.norm(p @ p - p) < 1e-12
             assert expectation(p, [a]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_non_dichotomic(self):
         with pytest.raises(ValueError):
             minus_one_eigenprojector(spin_operator(Z))
+
+    def test_rejects_non_hermitian(self):
+        # squares to I and has trace 1, but is not Hermitian
+        a = np.array([[1, 1, 0], [0, -1, 0], [0, 0, 1]], dtype=complex)
+        assert np.array_equal(a @ a, IDENTITY) and np.trace(a) == 1
+        with pytest.raises(ValueError, match="Hermitian"):
+            minus_one_eigenprojector(a)
 
 
 class TestTripleProduct:
