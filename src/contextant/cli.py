@@ -47,8 +47,13 @@ CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
 # approximant list, not only its search, grows with q_max.
 THETA_Q_MAX = 1_000_000
 
-# Largest quantum-check --samples: about 10 s of operator algebra.
+# quantum-check's largest --samples (about 10 s of operator algebra) and its
+# residual tolerances.  Float rounding leaves residuals of at most 5.3e-15
+# (10^5 samples, seeds 0 and 1); each comment says what reaches the bound.
 QUANTUM_SAMPLES_MAX = 100_000
+QUANTUM_COMM_TOL = 1e-12  # a pair 1.8e-13 off orthogonal: 4 sqrt(2) |u.v|
+QUANTUM_G_TOL = 1e-12  # a tilt 2.5e-13 rad off where |dg/dtheta| = 4
+QUANTUM_TRIPLE_TOL = 1e-10  # a triple with one dot 3.5e-11: 2 sqrt(2) |u.v|
 
 
 class Exit(Exception):
@@ -284,12 +289,13 @@ def cmd_quantum_check(args) -> None:
         q_mat = q_mat * np.sign(np.diag(r_mat))
         dirs = [Direction(*(c / np.linalg.norm(c))) for c in q_mat.T]
         worst_triple = max(worst_triple, triple_product_check(*dirs))
-    ok = worst_comm < 1e-12 and worst_g < 1e-12 and worst_triple < 1e-10
+    ok = (worst_comm < QUANTUM_COMM_TOL and worst_g < QUANTUM_G_TOL
+          and worst_triple < QUANTUM_TRIPLE_TOL)
     print(f"samples: {args.samples}  seed: {args.seed}")
-    print(f"max commutator residual: {_fmt(worst_comm)} (tol 1e-12)")
-    print(f"max g(theta) residual: {_fmt(worst_g)} (tol 1e-12)")
+    print(f"max commutator residual: {_fmt(worst_comm)} (tol {QUANTUM_COMM_TOL:g})")
+    print(f"max g(theta) residual: {_fmt(worst_g)} (tol {QUANTUM_G_TOL:g})")
     print(f"max triple-product residual over {n_triples} triples: "
-          f"{_fmt(worst_triple)} (tol 1e-10)")
+          f"{_fmt(worst_triple)} (tol {QUANTUM_TRIPLE_TOL:g})")
     print("PASS" if ok else "FAIL")
     if not ok:
         raise Exit(EXIT_CHECK_FAILED, "a residual exceeds its tolerance")
