@@ -111,8 +111,6 @@ class TestRationalAngle:
         assert classify(5) == (True, 2)
         assert classify(2) == (False, 1)
         assert classify(3) == (True, 1)
-
-    def test_classify_rejects_q_below_2(self):
         with pytest.raises(ValueError):
             classify(1)
 

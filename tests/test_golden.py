@@ -22,10 +22,10 @@ print the same bytes:
   Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
   them, as printed by the recursive backtracking search;
 - `quantum-check`, as printed while the fixed state was rebuilt for every
-  sample; seeds 0-9 at 200 samples only by sha256, as printed while
-  `direction_from_angles` normalised with numpy and the state was a
-  `DensityMatrix` record.  Seed 42 alone misses changes in the last bits
-  of the directions: a `math.hypot` normalisation leaves it unchanged.
+  sample, and for seeds 0-9 at 200 samples, kept only by sha256.  Seed 42
+  alone misses changes in the last bits of the directions: normalising
+  them with `math.hypot` leaves it unchanged but moves 9 of the 10
+  digests.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
