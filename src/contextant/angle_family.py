@@ -42,7 +42,7 @@ class Direction:
 
     def __post_init__(self):
         n = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # a nan component fails too
             raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
 
     def dot(self, other: "Direction") -> float:

@@ -1,31 +1,30 @@
-"""Spin-1 operator algebra on 3x3 complex matrices.
+"""Spin-1 operator algebra on real 3x3 matrices in the Cartesian basis.
 
-Spin operators along unit directions, dichotomic observables from squared
-spin components, density matrices as 3x3 arrays, expectation values of
-commuting products, and the orthogonal-triple product identity.
+There (S_k)_ij = -i eps_kij, so (d.S)^2 = |d|^2 I - d d^T, and for a unit
+direction d the dichotomic observable 2 (d.S)^2 - I is the reflection
+I - 2 d d^T.  The m = 0 state along z is e_z.  A matrix is a tuple of nine
+floats in row-major order, so math.dist gives the Frobenius norm of a - b.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-
-import numpy as np
 
 from .angle_family import Direction
 
-ALGEBRA_TOL = 1e-12
+Matrix = tuple[float, ...]
+
+# The largest defect a check accepts: a commutator norm, a dot product of a
+# triple, or the distance of a^2 from I and of tr a from 1; nan fails them.
+# |[A_u, A_v]|_F = 4 sqrt(2) |u.v| sqrt(1 - (u.v)^2) for unit u, v, so it
+# passes pairs within 1.8e-11 of orthogonal or collinear and fails the rest;
+# float rounding leaves the defects of directions from angles below 1e-14.
 COMPAT_TOL = 1e-10
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-# Spin-1 matrices in the S_z eigenbasis, ordered m = +1, 0, -1.
-SPIN_X = np.array([[0, _SQ2, 0], [_SQ2, 0, _SQ2], [0, _SQ2, 0]], dtype=complex)
-SPIN_Y = np.array(
-    [[0, -1j * _SQ2, 0], [1j * _SQ2, 0, -1j * _SQ2], [0, 1j * _SQ2, 0]],
-    dtype=complex,
-)
-SPIN_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-IDENTITY = np.eye(3, dtype=complex)
+IDENTITY: Matrix = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+_MINUS_IDENTITY: Matrix = (-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)
 
 
 class CompatibilityError(ValueError):
@@ -35,76 +34,70 @@ class CompatibilityError(ValueError):
 def direction_from_angles(theta: float, phi: float) -> Direction:
     """Unit vector (cos(phi) sin(theta), sin(phi) sin(theta), cos(theta))."""
     st = math.sin(theta)
-    v = np.array([math.cos(phi) * st, math.sin(phi) * st, math.cos(theta)])
-    v /= np.linalg.norm(v)
-    return Direction(v[0], v[1], v[2])
+    return Direction(math.cos(phi) * st, math.sin(phi) * st, math.cos(theta))
 
 
-def spin_operator(d: Direction) -> np.ndarray:
-    """Spin-1 operator for direction d; Hermitian with spectrum {+1, 0, -1}."""
-    return d.x * SPIN_X + d.y * SPIN_Y + d.z * SPIN_Z
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product ab."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+                 for i in (0, 3, 6) for j in range(3))
 
 
-def dichotomic(d: Direction) -> np.ndarray:
-    """Dichotomic observable 2 S_d^2 - I with spectrum {+1, +1, -1}.
+def dichotomic(d: Direction) -> Matrix:
+    """Dichotomic observable 2 (d.S)^2 - I = I - 2 d d^T, spectrum {+1, +1, -1}.
 
-    Even in d: the same observable is returned for d and -d.  Two of these
-    commute exactly when their directions are orthogonal or collinear.
+    Exactly symmetric and even in d.  Two of these commute exactly when their
+    directions are orthogonal or collinear: [A_u, A_v] = 4 (u.v)(u v^T - v u^T).
     """
-    s = spin_operator(d)
-    return 2.0 * (s @ s) - IDENTITY
+    v = (d.x, d.y, d.z)
+    return tuple((i == j) - 2.0 * v[i] * v[j] for i in range(3) for j in range(3))
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+def commutator_norm(a: Matrix, b: Matrix) -> float:
     """Frobenius norm of the commutator ab - ba."""
-    return float(np.linalg.norm(a @ b - b @ a))
+    return math.dist(matmul(a, b), matmul(b, a))
 
 
-def expectation(rho: np.ndarray, ops: list[np.ndarray]) -> float:
+def expectation(rho: Matrix, ops: list[Matrix]) -> float:
     """Tr(rho A B ...) for pairwise-commuting observables A, B, ...
 
     Raises CompatibilityError if any pair of the operators fails to commute
-    within the compatibility tolerance; the product is only an observable
-    for a commuting family.
+    within COMPAT_TOL; the product is only an observable for a commuting
+    family.
     """
     if not ops:
         raise ValueError("expectation requires at least one operator")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            c = commutator_norm(ops[i], ops[j])
-            if c > COMPAT_TOL:
-                raise CompatibilityError(
-                    f"operators {i} and {j} do not commute (|[A,B]| = {c:.3e})"
-                )
-    prod = IDENTITY
-    for op in ops:
-        prod = prod @ op
-    val = complex(np.trace(rho @ prod))
-    if abs(val.imag) > COMPAT_TOL:
-        raise CompatibilityError(f"expectation has imaginary part {val.imag:.3e}")
-    return val.real
+    for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
+        c = commutator_norm(a, b)
+        if not c <= COMPAT_TOL:
+            raise CompatibilityError(
+                f"operators {i} and {j} do not commute (|[A,B]| = {c:.3e})")
+    prod = functools.reduce(matmul, ops)
+    return math.fsum(rho[3 * i + j] * prod[3 * j + i]
+                     for i in range(3) for j in range(3))
 
 
-def minus_one_eigenprojector(a: np.ndarray) -> np.ndarray:
+def minus_one_eigenprojector(a: Matrix) -> Matrix:
     """Projector (I - a)/2 onto the -1 eigenspace of a dichotomic observable.
 
-    a must be Hermitian with a^2 = I and trace 1; then the projector's
-    eigenvalues are 0, 0, 1 within COMPAT_TOL, so it is a density matrix.
+    a must be exactly symmetric, and square to I and have trace 1 within
+    COMPAT_TOL; then the projector's eigenvalues are 0, 0, 1 within
+    COMPAT_TOL, so it is a density matrix.
     """
-    if np.linalg.norm(a - a.conj().T) > ALGEBRA_TOL:
+    if any(a[3 * i + j] != a[3 * j + i] for i in range(3) for j in range(i)):
         raise ValueError("operator is not Hermitian")
-    if np.linalg.norm(a @ a - IDENTITY) > COMPAT_TOL:
+    if not math.dist(matmul(a, a), IDENTITY) <= COMPAT_TOL:
         raise ValueError("operator does not square to identity")
-    if abs(np.trace(a).real - 1.0) > COMPAT_TOL:
+    if not abs(a[0] + a[4] + a[8] - 1.0) <= COMPAT_TOL:
         raise ValueError("operator does not have trace 1")
-    return (IDENTITY - a) / 2.0
+    return tuple((e - x) / 2.0 for e, x in zip(IDENTITY, a))
 
 
 def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:
     """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple."""
     for u, v in ((k, l), (k, m), (l, m)):
         d = abs(u.dot(v))
-        if d > COMPAT_TOL:
+        if not d <= COMPAT_TOL:
             raise ValueError(f"directions not orthogonal (|dot| = {d:.3e})")
-    prod = dichotomic(k) @ dichotomic(l) @ dichotomic(m)
-    return float(np.linalg.norm(prod + IDENTITY))
+    prod = matmul(matmul(dichotomic(k), dichotomic(l)), dichotomic(m))
+    return math.dist(prod, _MINUS_IDENTITY)

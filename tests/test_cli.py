@@ -215,6 +215,18 @@ class TestQuantumCheck:
         assert out.endswith("FAIL\n")
         assert err and "Traceback" not in err
 
+    def test_nan_direction_rejected(self):
+        with pytest.raises(ValueError):
+            angle_family.Direction(math.nan, 0.0, 0.0)
+
+    def test_nan_residual_fails_with_exit_1(self, monkeypatch, capsys):
+        # max(0.0, nan) is 0.0, so a worst-residual fold alone would pass it
+        monkeypatch.setattr(cli, "g_of_theta", lambda theta: math.nan)
+        assert main(["quantum-check", "--samples", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert "max g(theta) residual: nan" in out and out.endswith("FAIL\n")
+        assert err == "quantum-check: a residual exceeds its tolerance\n"
+
     def test_bad_samples(self):
         assert run_cli("quantum-check", "--samples", "0").returncode == 2
 

@@ -1,3 +1,6 @@
+"""Tests of the Cartesian spin-1 algebra against an independent oracle:
+the spin-1 matrices in the S_z eigenbasis, built here with numpy."""
+
 import math
 
 import numpy as np
@@ -6,7 +9,6 @@ import pytest
 from contextant.angle_family import delta_of_theta, g_of_theta
 from contextant.spin_algebra import (
     IDENTITY,
-    SPIN_X,
     CompatibilityError,
     Direction,
     commutator_norm,
@@ -14,7 +16,6 @@ from contextant.spin_algebra import (
     direction_from_angles,
     expectation,
     minus_one_eigenprojector,
-    spin_operator,
     triple_product_check,
 )
 
@@ -23,6 +24,28 @@ RNG = np.random.default_rng(12345)
 X = Direction(1.0, 0.0, 0.0)
 Y = Direction(0.0, 1.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+
+# Spin-1 matrices in the S_z eigenbasis, ordered m = +1, 0, -1.
+SPIN_X = np.array([[0, _SQ2, 0], [_SQ2, 0, _SQ2], [0, _SQ2, 0]], dtype=complex)
+SPIN_Y = np.array(
+    [[0, -1j * _SQ2, 0], [1j * _SQ2, 0, -1j * _SQ2], [0, 1j * _SQ2, 0]],
+    dtype=complex,
+)
+SPIN_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+# Columns: the Cartesian components of the spherical basis |+1>, |0>, |-1>,
+# that is -(e_x + i e_y)/sqrt 2, e_z and (e_x - i e_y)/sqrt 2.  U S_k U^dagger
+# is the Cartesian spin component (S_k)_ij = -i eps_kij.
+SPHERICAL_TO_CARTESIAN = np.array(
+    [[-_SQ2, 0, _SQ2], [-1j * _SQ2, 0, -1j * _SQ2], [0, 1, 0]])
+
+
+def spin_operator(d: Direction) -> np.ndarray:
+    """Spin-1 operator for direction d in the S_z eigenbasis; Hermitian
+    with spectrum {+1, 0, -1}."""
+    return d.x * SPIN_X + d.y * SPIN_Y + d.z * SPIN_Z
 
 
 def random_direction(rng=RNG):
@@ -37,10 +60,31 @@ def random_orthonormal_triple(rng=RNG):
     return [Direction(*(c / np.linalg.norm(c))) for c in q.T]
 
 
+class Unchecked(Direction):
+    """A Direction without the unit check, to reach the guards behind it."""
+
+    def __post_init__(self):
+        pass
+
+
+NAN = Unchecked(math.nan, 0.0, 0.0)
+
+
 def random_density_matrix(rng=RNG):
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
+    """A real symmetric positive semidefinite matrix of trace 1."""
+    a = rng.normal(size=(3, 3))
+    m = a @ a.T
+    return flat(m / np.trace(m))
+
+
+def square(m) -> np.ndarray:
+    """A row-major 9-tuple as a 3x3 array."""
+    return np.reshape(m, (3, 3))
+
+
+def flat(m: np.ndarray) -> tuple:
+    """A 3x3 array as a row-major 9-tuple of floats."""
+    return tuple(map(float, np.ravel(m)))
 
 
 class TestDirection:
@@ -79,18 +123,33 @@ class TestSpinOperator:
 
 class TestDichotomic:
     def test_z_axis(self):
-        assert np.allclose(dichotomic(Z), np.diag([1, -1, 1]), atol=1e-15)
+        assert np.allclose(square(dichotomic(Z)), np.diag([1, 1, -1]), atol=1e-15)
 
     def test_squares_to_identity(self):
         for _ in range(20):
-            a = dichotomic(random_direction())
-            assert np.linalg.norm(a @ a - IDENTITY) < 1e-12
+            a = square(dichotomic(random_direction()))
+            assert np.linalg.norm(a @ a - square(IDENTITY)) < 1e-12
 
     def test_hermitian_unit_trace(self):
         for _ in range(20):
-            a = dichotomic(random_direction())
-            assert np.linalg.norm(a - a.conj().T) < 1e-12
-            assert abs(np.trace(a).real - 1.0) < 1e-12
+            a = square(dichotomic(random_direction()))
+            assert np.array_equal(a, a.T)
+            assert abs(np.trace(a) - 1.0) < 1e-12
+
+    def test_sz_basis_observable_in_cartesian_basis(self):
+        # the oracle: U S_k U^dagger = -i eps_k, and U (2 (d.S)^2 - I) U^dagger
+        # with S in the S_z eigenbasis equals the reflection I - 2 d d^T
+        u = SPHERICAL_TO_CARTESIAN
+        eps = np.zeros((3, 3, 3))
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[i, j, k], eps[i, k, j] = 1, -1
+        for k, s in enumerate((SPIN_X, SPIN_Y, SPIN_Z)):
+            assert np.allclose(u @ s @ u.conj().T, -1j * eps[k], atol=1e-15)
+        for _ in range(1000):
+            d = random_direction()
+            s = spin_operator(d)
+            a = u @ (2.0 * (s @ s) - np.eye(3)) @ u.conj().T
+            assert np.linalg.norm(a - square(dichotomic(d))) < 1e-14
 
     def test_even_in_direction(self):
         d = random_direction()
@@ -127,6 +186,10 @@ class TestExpectation:
         with pytest.raises(CompatibilityError):
             expectation(rho, [dichotomic(X), dichotomic(tilted)])
 
+    def test_nan_commutator_rejected(self):
+        with pytest.raises(CompatibilityError):
+            expectation(IDENTITY, [dichotomic(NAN), dichotomic(X)])
+
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
@@ -162,25 +225,32 @@ class TestCommutatorNorm:
 class TestMinusOneEigenprojector:
     def test_z_axis(self):
         p = minus_one_eigenprojector(dichotomic(Z))
-        assert np.allclose(p, np.diag([0, 1, 0]), atol=1e-15)
+        assert np.allclose(square(p), np.diag([0, 0, 1]), atol=1e-15)
 
     def test_idempotent_and_eigenstate(self):
         for _ in range(10):
             a = dichotomic(random_direction())
             p = minus_one_eigenprojector(a)
-            assert np.linalg.norm(p @ p - p) < 1e-12
+            m = square(p)
+            assert np.linalg.norm(m @ m - m) < 1e-12
             assert expectation(p, [a]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_non_dichotomic(self):
+        # S_z in its eigenbasis, diag(1, 0, -1), squares to diag(1, 0, 1)
         with pytest.raises(ValueError):
-            minus_one_eigenprojector(spin_operator(Z))
+            minus_one_eigenprojector(flat(spin_operator(Z).real))
 
     def test_rejects_non_hermitian(self):
         # squares to I and has trace 1, but is not Hermitian
-        a = np.array([[1, 1, 0], [0, -1, 0], [0, 0, 1]], dtype=complex)
-        assert np.array_equal(a @ a, IDENTITY) and np.trace(a) == 1
+        a = (1.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0)
+        m = square(a)
+        assert np.array_equal(m @ m, square(IDENTITY)) and np.trace(m) == 1
         with pytest.raises(ValueError, match="Hermitian"):
             minus_one_eigenprojector(a)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            minus_one_eigenprojector(dichotomic(NAN))
 
 
 class TestTripleProduct:
@@ -198,6 +268,10 @@ class TestTripleProduct:
     def test_rejects_nonorthogonal(self):
         with pytest.raises(ValueError):
             triple_product_check(X, Y, Direction(1.0, 0.0, 0.0))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            triple_product_check(NAN, NAN, NAN)
 
 
 def test_compatible_directions_are_orthogonal():
