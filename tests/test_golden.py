@@ -21,11 +21,12 @@ print the same bytes:
 - `ks-color` on Peres' 33 rays (`data/peres33.txt`, the unit vectors of
   Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
   them, as printed by the recursive backtracking search;
-- `quantum-check`, as printed while the fixed state was rebuilt for every
-  sample, and for seeds 0-9 at 200 samples, kept only by sha256.  Seed 42
-  alone misses changes in the last bits of the directions: normalising
-  them with `math.hypot` leaves it unchanged but moves 9 of the 10
-  digests.
+- `quantum-check`, as printed by the Cartesian-basis algebra on real
+  reflections with samples from `random.Random` (the same bytes under
+  Python 3.10, 3.11 and 3.12), and for seeds 0-9 at 200 samples, kept
+  only by sha256.  Seed 42 alone misses changes in the last bits of the
+  directions: in the earlier S_z-basis algebra, normalising them with
+  `math.hypot` left it unchanged but moved 9 of the 10 digests.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -137,16 +138,16 @@ def test_ks_color_matches_golden_file(name, tmp_path, capsys):
 
 # seed -> sha256 of `quantum-check --samples 200 --seed <seed>` stdout
 QUANTUM_CHECK_200_SHA256 = {
-    0: "8214bb87c427d6a1a2c5add80a97ed8d287e5f857d22d1a75dd16806124c41ec",
-    1: "21dff40c655fb1b890d08aac8d595b46343042f735aa9c6255635357cc232eb5",
-    2: "167af4e5809f314b97ce3ae2fce342343e65ce722bfe6fba30717be11c69ec4f",
-    3: "d4b723d5c61e3d5ef8b730355fbcd412aabf4d0b3d5be7ead09e9a913a370b64",
-    4: "b2d078bd312fe7a941707c9a93849fcb80b072d7f92ab4d1f94f8451ab19a2d6",
-    5: "d6b46106a993e4b2c04e0da739c6c46ff91fc4e9e9720fe111c003d1468fe23f",
-    6: "711952ccf42d967ad226912225a02830e60456ff0daf17f6d323c47f0e3520b4",
-    7: "412bab0c7193e073bfa4e457980c4c6ea307e6d6bf2c778bfcb5a13025dd46d5",
-    8: "4ec24bf27f5c56fd6e022cfab36d83412b0cee2445c90fae376d613c507637ec",
-    9: "561f45c6e1b6041406b8ea28768f84c1abc070af679f57e486ba353a7302d1d2",
+    0: "6de2329a0fe39e9fcb3ea1c873bb525042d1b451ec7d48ac8e64ca6f9b92f56e",
+    1: "37425a26cf1fd277ca67810ca0dba767ea5d16e3f61b53eb6e1b877f326178a8",
+    2: "8b0f124220ba6b4f8cd98fb1a7d0b5e14eee17e7054dc30c9f839655ca22672b",
+    3: "a10c664f3b336cd7eff2e0ae67a24dc567cf29368fa608269199ebaa4b02a2fa",
+    4: "4aae2dae7fa12e9fdf33af07ed7ab24772a1d28272a39abd48daf8a131c2d48f",
+    5: "947daab0571fb7324e1819f2c654570cec770abc21a77736ee540273fb6e8a8b",
+    6: "ff839b4096c732ce5aea64ba99b7e1d734b84e9eb665e4083f8c933134bff049",
+    7: "32f89bded472e411f559f9c7dde69ea71dea51a23162d767adaf7831bbaf91f1",
+    8: "0dd9e767a83852d0b1a300804f2b76314e5edf81420a472a8b79229ea7ab4054",
+    9: "e7b5f921e430175af0e4a86403ef6322f90e5e11d908ad85b9edc205495a35f2",
 }
 
 
