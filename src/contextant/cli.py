@@ -57,7 +57,7 @@ CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
 # approximant list, not only its search, grows with q_max.
 THETA_Q_MAX = 1_000_000
 
-# quantum-check's largest --samples (about 5 s of operator algebra) and its
+# quantum-check's largest --samples (about 3 s of operator algebra) and its
 # residual tolerances.  Float rounding leaves residuals below 5e-15 (10^5
 # samples, seeds 0 and 1); each comment says what reaches the bound.
 QUANTUM_SAMPLES_MAX = 100_000
@@ -266,8 +266,8 @@ def cmd_oracle(args) -> None:
 
 
 def _orthonormal_triple(rng: random.Random) -> list[Direction]:
-    """The columns, each of norm n, of the rotation of a Gaussian quaternion
-    (Euler-Rodrigues): an orthonormal triple, uniform over rotations."""
+    """The columns of the rotation of a Gaussian quaternion (Euler-Rodrigues)
+    over their norm n: an orthonormal triple, uniform over rotations."""
     a, b, c, d = (rng.gauss(0.0, 1.0) for _ in range(4))
     n = a * a + b * b + c * c + d * d
     cols = ((a * a + b * b - c * c - d * d, 2 * (b * c + a * d), 2 * (b * d - a * c)),
