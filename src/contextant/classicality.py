@@ -22,9 +22,9 @@ from .assignment_model import (
 
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
-# Loop steps of ks_colorability: counting COUNT_CAP unconstrained vectors
-# takes 4,194,301; refuting Peres' 33 rays, 43,812.
-KS_STEP_BUDGET = 10_000_000
+# Branchings of ks_colorability: Peres' 33 rays take 15, one ray and 19 orthogonal
+# to it 524,288, COUNT_CAP lone vectors 0; using it all up takes 8-11 s (README).
+KS_STEP_BUDGET = 1_000_000
 # Dot products plus triple-candidate checks of VectorSet: 5,000 vectors
 # without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
 VECTORSET_BUDGET = 15_000_000
@@ -175,6 +175,8 @@ class VectorSet:
 
     Pairs and maximal orthogonal triples are derived from the geometry at
     a fixed tolerance; near-orthogonality below it creates no constraint.
+    ORTHO_TOL = 1e-10 parts the |u.v| of orthogonal pairs, at most 7.6e-16 on the
+    benchmark's search-stream ks sets (seeds 1-3), from the rest, at least 0.12.
     Raises ValueError when the n(n-1)/2 dot products plus the n-j-1
     triple candidates (i, j, k > j) of every pair (i, j) exceed
     VECTORSET_BUDGET: checked once per row of the pair loop, so before
@@ -226,61 +228,73 @@ def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:
 
 
 def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult:
-    """Backtracking search for a Kochen-Specker coloring.
+    """Kochen-Specker coloring by depth-first search with unit propagation.
 
     Strict mode: no orthogonal pair is (-1, -1) and every complete
     orthogonal triple has exactly one -1.  Relaxed mode: at most one -1
     per pair (and hence per triple).  Counts all colorings for sets of at
-    most COUNT_CAP vectors.  Vectors are colored in index order, +1 before
-    -1, so the coloring returned is the first in that order.  Raises
-    ValueError after KS_STEP_BUDGET steps.
+    most COUNT_CAP vectors.  The search branches on the lowest uncolored
+    vector, +1 first, and a forced value is the only one in its branch, so
+    the coloring returned is the first in index order, +1 before -1.
+    Raises ValueError after KS_STEP_BUDGET branchings.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
     n = len(vset.vectors)
-    # A -1 needs every earlier partner at +1.  The pair rule leaves at most
-    # one -1 per triple, so in strict mode a +1 needs only that each triple
-    # it completes already holds a -1.
-    earlier = [[] for _ in range(n)]
+    partners = [0] * n
     for i, j in vset.pairs:
-        earlier[j].append(i)
-    completes = [[] for _ in range(n)]
-    if mode == "strict":
-        for i, j, k in vset.triples:
-            completes[k].append((i, j))
-    do_count = n <= COUNT_CAP
+        partners[i] |= 1 << j
+        partners[j] |= 1 << i
+    others = [[] for _ in range(n)]  # per vector, the rest of each triple
+    for t in vset.triples if mode == "strict" else ():
+        for k in t:
+            others[k].append(sum(1 << i for i in t if i != k))
 
-    count = 0
-    first: tuple[int, ...] | None = None
-    values = [0] * n  # 0 = unassigned; vectors j and beyond are unassigned
-    j = steps = 0
-    while j >= 0:
-        steps += 1
-        if steps > KS_STEP_BUDGET:
-            raise ValueError(f"coloring search exceeded {KS_STEP_BUDGET} steps")
-        if j == n:
-            count += 1
-            if first is None:
-                first = tuple(values)
-                if not do_count:
-                    break
-            j -= 1
-        elif values[j] == 0:
-            values[j] = 1
-            if completes[j] and not all(
-                    values[a] == -1 or values[b] == -1 for a, b in completes[j]):
-                continue
-            j += 1
-        elif values[j] == 1:
-            values[j] = -1
-            if earlier[j] and not all(values[i] == 1 for i in earlier[j]):
-                continue
-            j += 1
+    def settle(plus: int, minus: int, ups: int):
+        """Propagate the +1s in ups, just set: a triple with two +1 makes its
+        third -1, and a -1 makes its partners +1.  None on a clash."""
+        while ups:
+            low = ups & -ups
+            ups ^= low
+            for m in others[low.bit_length() - 1]:
+                p = plus & m
+                if p == m:
+                    return None
+                if p and not minus & m:  # the third is forced to -1
+                    minus |= m ^ p
+                    new = partners[(m ^ p).bit_length() - 1]
+                    plus, ups = plus | new, ups | new & ~plus
+        return plus, minus
+
+    # a vector without a partner is +1 in the first coloring, x2 on the count
+    lone = sum(1 << k for k in range(n) if not partners[k])
+    stack = [(lone, 0)]  # (plus, minus) masks still to search; None on a clash
+    first, steps, count = None, 0, 0
+    while stack:
+        state = stack.pop()
+        if state is None:
+            continue
+        plus, minus = state
+        unset = ((1 << n) - 1) ^ (plus | minus)
+        if unset:
+            steps += 1
+            if steps > KS_STEP_BUDGET:
+                raise ValueError(f"coloring search exceeded {KS_STEP_BUDGET} steps")
+            low = unset & -unset
+            j = low.bit_length() - 1
+            new = partners[j] & ~plus  # no partner of an uncolored vector is -1
+            down, up = (plus | new, minus | low), (plus | low, minus)
+            stack.append(settle(*down, new) if new else down)
+            stack.append(settle(*up, low) if others[j] else up)  # on top: +1 first
         else:
-            values[j] = 0
-            j -= 1
+            count += 1
+            first = plus if first is None else first
+            if n > COUNT_CAP:
+                break
 
+    count = count << lone.bit_count() if n <= COUNT_CAP else None
     if first is None:
-        return ColorabilityResult(False, None, 0 if do_count else None)
-    assert _valid(first, vset, mode)
-    return ColorabilityResult(True, first, count if do_count else None)
+        return ColorabilityResult(False, None, count)
+    coloring = tuple(1 if first >> k & 1 else -1 for k in range(n))
+    assert _valid(coloring, vset, mode)
+    return ColorabilityResult(True, coloring, count)

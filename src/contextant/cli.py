@@ -247,7 +247,8 @@ def cmd_verdict(args) -> None:
     if not approx:
         print("  (none)")
     for p, q, d in approx:
-        classical, margin, _, _ = decide_row(p, q, float(min_correlation(q)))
+        # -(q - 2) / q rounds once, so it is float(min_correlation(q)) for odd q
+        classical, margin, _, _ = decide_row(p, q, -(q - 2) / q if q % 2 else -1.0)
         print(f"  {p}/{q} (distance {_fmt(d)}): {VERDICT[classical]}, "
               f"margin {_fmt(margin)}")
 

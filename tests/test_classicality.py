@@ -17,6 +17,8 @@ from contextant.assignment_model import (
     mixture_for_target,
 )
 from contextant.classicality import (
+    COUNT_CAP,
+    ColorabilityResult,
     VectorSet,
     decide_pair_family,
     decide_pair_family_generic,
@@ -37,6 +39,11 @@ Y = Direction(0.0, 1.0, 0.0)
 Z = Direction(0.0, 0.0, 1.0)
 
 PERES33 = Path(__file__).parent / "data" / "peres33.txt"
+
+
+def peres33():
+    return [Direction(*map(float, line.split()))
+            for line in PERES33.read_text(encoding="utf-8").splitlines()]
 
 
 def coprime_pairs(q_max):
@@ -303,6 +310,64 @@ def enumerate_colorings(vset, mode):
     return out
 
 
+def backtracking_colorability(vset, mode):
+    """Reference: plain backtracking in index order, +1 before -1, without
+    propagation; counts the colorings of sets of at most COUNT_CAP vectors."""
+    n = len(vset.vectors)
+    # A -1 needs every earlier partner at +1.  The pair rule leaves at most
+    # one -1 per triple, so in strict mode a +1 needs only that each triple
+    # it completes already holds a -1.
+    earlier = [[] for _ in range(n)]
+    for i, j in vset.pairs:
+        earlier[j].append(i)
+    completes = [[] for _ in range(n)]
+    if mode == "strict":
+        for i, j, k in vset.triples:
+            completes[k].append((i, j))
+    do_count = n <= COUNT_CAP
+
+    count = 0
+    first = None
+    values = [0] * n  # 0 = unassigned; vectors j and beyond are unassigned
+    j = 0
+    while j >= 0:
+        if j == n:
+            count += 1
+            if first is None:
+                first = tuple(values)
+                if not do_count:
+                    break
+            j -= 1
+        elif values[j] == 0:
+            values[j] = 1
+            if completes[j] and not all(
+                    values[a] == -1 or values[b] == -1 for a, b in completes[j]):
+                continue
+            j += 1
+        elif values[j] == 1:
+            values[j] = -1
+            if earlier[j] and not all(values[i] == 1 for i in earlier[j]):
+                continue
+            j += 1
+        else:
+            values[j] = 0
+            j -= 1
+    return ColorabilityResult(first is not None, first,
+                              count if do_count else None)
+
+
+@st.composite
+def peres_subsets(draw):
+    """At most 14 of Peres' 33 rays in a drawn order, drawn as whole
+    orthogonal triples and single rays so that triples are common."""
+    rays = peres33()
+    triples = VectorSet(rays).triples
+    chosen = {k for t in draw(st.lists(st.sampled_from(triples), max_size=4))
+              for k in t}
+    chosen.update(draw(st.lists(st.integers(0, 32), max_size=14)))
+    return [rays[k] for k in draw(st.permutations(sorted(chosen)))[:14]]
+
+
 class TestKsColorability:
     def test_single_basis_strict(self):
         vset = VectorSet([X, Y, Z])
@@ -352,11 +417,39 @@ class TestKsColorability:
         assert res.count == len(enumerate_colorings(vset, "strict"))
 
     def test_step_budget(self, monkeypatch):
-        # Peres' 33 rays are UNSAT in strict mode after 43,812 loop steps
-        vset = VectorSet([Direction(*map(float, line.split()))
-                          for line in PERES33.read_text(encoding="utf-8").splitlines()])
-        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 43_812)
+        # Peres' 33 rays are UNSAT in strict mode after 15 branchings
+        vset = VectorSet(peres33())
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 15)
         assert not ks_colorability(vset, "strict").satisfiable
-        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 43_811)
-        with pytest.raises(ValueError, match="43811 steps"):
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 14)
+        with pytest.raises(ValueError, match="14 steps"):
             ks_colorability(vset, "strict")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rays=peres_subsets(),
+        extra=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), max_size=3),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        angle=st.floats(0.0, 2 * math.pi),
+        mode=st.sampled_from(["strict", "relaxed"]),
+    )
+    def test_matches_backtracking_on_peres_subsets(self, rays, extra, axis,
+                                                   angle, mode):
+        # rotated Peres rays keep their pairs and triples; a random
+        # direction almost never adds one
+        assume(math.hypot(*axis) > 0.1)
+        assume(all(math.hypot(*v) > 0.1 for v in extra))
+        axis = Direction(*(c / math.hypot(*axis) for c in axis))
+        vecs = [rotate(d, axis, angle) for d in rays[:14 - len(extra)]]
+        vecs += [Direction(*(c / math.hypot(*v) for c in v)) for v in extra]
+        vset = VectorSet(vecs)
+        assert ks_colorability(vset, mode) == backtracking_colorability(vset, mode)
+
+    def test_matches_backtracking_on_peres33_and_each_drop(self):
+        # 32 and 33 rays lie above COUNT_CAP: the first colorings compare
+        rays = peres33()
+        for drop in [None, *range(len(rays))]:
+            vset = VectorSet([d for k, d in enumerate(rays) if k != drop])
+            res = ks_colorability(vset, "strict")
+            assert res == backtracking_colorability(vset, "strict"), drop
+            assert res.satisfiable == (drop is not None)

@@ -334,11 +334,11 @@ class TestKsColor:
                             f"SAT ({'+' * 1200})\n")
 
     def test_step_budget_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 1000)
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 10)
         peres33 = Path(__file__).parent / "data" / "peres33.txt"
         assert main(["ks-color", str(peres33)]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err == "ks-color: coloring search exceeded 1000 steps\n"
+        assert out == "" and err == "ks-color: coloring search exceeded 10 steps\n"
 
     def test_vector_set_budget_exits_3(self, tmp_path):
         # 200 copies each of x, y and z: 120,000 pairs and 8,000,000 triples

@@ -20,7 +20,8 @@ print the same bytes:
   kept;
 - `ks-color` on Peres' 33 rays (`data/peres33.txt`, the unit vectors of
   Peres, J. Phys. A 24, L175, 1991, in perfbench's order) and on subsets of
-  them, as printed by the recursive backtracking search;
+  them, as printed by the recursive backtracking search, and reproduced
+  by the depth-first search with unit propagation that replaced it;
 - `quantum-check`, as printed by the Cartesian-basis algebra on real
   reflections with samples from `random.Random` (the same bytes under
   Python 3.10, 3.11 and 3.12), and for seeds 0-9 at 200 samples, kept
