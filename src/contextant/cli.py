@@ -4,12 +4,14 @@ Subcommands: verdict, scan, oracle, quantum-check, discontinuity,
 ks-color.  All output goes to stdout as UTF-8; errors to stderr.  Exit
 codes: 0 success, 1 check failure, 2 argument error, 3 resource limit.
 A subcommand ends with a nonzero code by raising Exit; main writes its
-reason to stderr as one line "<command>: <reason>".
+reason to stderr as one line "<command>: <reason>".  main builds the
+argument parser once per process and reuses it for every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -345,7 +347,12 @@ def cmd_ks_color(args) -> None:
         print(f"colorings: {result.count}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: callers must not mutate it.  Its types and command functions
+    keep no state between calls, and parse_args builds a fresh Namespace
+    each time, so no call sees an earlier one."""
     parser = argparse.ArgumentParser(
         prog="contextant",
         description="Hidden-variable classicality of the tilted spin-1 "

@@ -413,3 +413,38 @@ def test_a_member_is_built_only_where_it_is_certified(argv, built, monkeypatch,
     assert main(argv) == 0
     capsys.readouterr()
     assert made == built
+
+
+def test_one_parser_serves_a_mixed_sequence(monkeypatch, capsys):
+    """main builds its parser once per process; each call in a mixed
+    sequence returns and prints what its argv does alone in a fresh
+    interpreter."""
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+    peres33 = str(Path(__file__).parent / "data" / "peres33.txt")
+    # no quantum-check input fails its tolerances, so that call runs with a
+    # zero g tolerance (name, value), here and in its fresh interpreter
+    sequence = [
+        (["verdict", "--theta", "0.5"], None, 2),
+        (["--help"], None, 0),
+        (["verdict", "--theta", "0.9"], None, 0),
+        (["verdict", "--p", "2", "--q", "5"], None, 0),
+        (["ks-color", peres33], None, 0),
+        (["quantum-check", "--samples", "20"], ("QUANTUM_G_TOL", 0.0), 1),
+        (["scan", "--q-max", "30"], None, 0),
+    ]
+    for argv, patch, code in sequence:
+        if patch is None:
+            alone = run_cli(*argv)
+        else:
+            alone = subprocess.run(
+                [sys.executable, "-c", "import sys; import contextant.cli as cli; "
+                 f"cli.{patch[0]} = {patch[1]!r}; sys.exit(cli.main(sys.argv[1:]))",
+                 *argv], capture_output=True, text=True)
+        with monkeypatch.context() as m:
+            if patch is not None:
+                m.setattr(cli, *patch)
+            rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        assert rc == code, argv
