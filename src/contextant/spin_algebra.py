@@ -38,9 +38,18 @@ def direction_from_angles(theta: float, phi: float) -> Direction:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The matrix product ab."""
-    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
-                 for i in (0, 3, 6) for j in range(3))
+    """The matrix product ab, each entry summed left to right over k."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b3 + a2 * b6,
+            a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7,
+            a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6,
+            a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8)
 
 
 def dichotomic(d: Direction) -> Matrix:
@@ -49,8 +58,11 @@ def dichotomic(d: Direction) -> Matrix:
     Exactly symmetric and even in d.  Two of these commute exactly when their
     directions are orthogonal or collinear: [A_u, A_v] = 4 (u.v)(u v^T - v u^T).
     """
-    v = (d.x, d.y, d.z)
-    return tuple((i == j) - 2.0 * v[i] * v[j] for i in range(3) for j in range(3))
+    x, y, z = d.x, d.y, d.z
+    # 0 - t, not -t: an off-diagonal zero stays +0.0 whatever the sign of t
+    return (1 - 2.0 * x * x, 0 - 2.0 * x * y, 0 - 2.0 * x * z,
+            0 - 2.0 * y * x, 1 - 2.0 * y * y, 0 - 2.0 * y * z,
+            0 - 2.0 * z * x, 0 - 2.0 * z * y, 1 - 2.0 * z * z)
 
 
 def commutator_norm(a: Matrix, b: Matrix) -> float:
