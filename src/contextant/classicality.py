@@ -23,7 +23,7 @@ from .assignment_model import (
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
 # Branchings of ks_colorability: Peres' 33 rays take 15, one ray and 19 orthogonal
-# to it 524,288, COUNT_CAP lone vectors 0; using it all up takes 8-11 s (README).
+# to it 524,288, COUNT_CAP lone vectors 0; using it all up takes 7-9 s (README).
 KS_STEP_BUDGET = 1_000_000
 # Dot products plus triple-candidate checks of VectorSet: 5,000 vectors
 # without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
@@ -227,6 +227,24 @@ def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:
     return True
 
 
+def _components(partners: list[int], rest: int):
+    """The connected components of the vectors in the mask rest, as masks in
+    order of their lowest index; partners[k] is the mask of k's neighbours,
+    all in rest."""
+    while rest:
+        comp = edge = rest & -rest
+        while edge:  # flood fill: edge holds the vectors reached last
+            reach = 0
+            while edge:
+                low = edge & -edge
+                edge ^= low
+                reach |= partners[low.bit_length() - 1]
+            edge = reach & ~comp
+            comp |= edge
+        rest ^= comp
+        yield comp
+
+
 def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult:
     """Kochen-Specker coloring by depth-first search with unit propagation.
 
@@ -236,7 +254,11 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     most COUNT_CAP vectors.  The search branches on the lowest uncolored
     vector, +1 first, and a forced value is the only one in its branch, so
     the coloring returned is the first in index order, +1 before -1.
-    Raises ValueError after KS_STEP_BUDGET branchings.
+    Each connected component of the pair graph is searched on its own, in
+    order of its lowest index: the components are independent, so the set
+    is UNSAT if one of them is, its first coloring is the union of theirs
+    and its count the product of theirs.  Raises ValueError after
+    KS_STEP_BUDGET branchings over all components.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,33 +290,38 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
 
     # a vector without a partner is +1 in the first coloring, x2 on the count
     lone = sum(1 << k for k in range(n) if not partners[k])
-    stack = [(lone, 0)]  # (plus, minus) masks still to search; None on a clash
-    first, steps, count = None, 0, 0
-    while stack:
-        state = stack.pop()
-        if state is None:
-            continue
-        plus, minus = state
-        unset = ((1 << n) - 1) ^ (plus | minus)
-        if unset:
-            steps += 1
-            if steps > KS_STEP_BUDGET:
-                raise ValueError(f"coloring search exceeded {KS_STEP_BUDGET} steps")
-            low = unset & -unset
-            j = low.bit_length() - 1
-            new = partners[j] & ~plus  # no partner of an uncolored vector is -1
-            down, up = (plus | new, minus | low), (plus | low, minus)
-            stack.append(settle(*down, new) if new else down)
-            stack.append(settle(*up, low) if others[j] else up)  # on top: +1 first
-        else:
-            count += 1
-            first = plus if first is None else first
-            if n > COUNT_CAP:
-                break
+    first, steps, count = lone, 0, 1
+    for comp in _components(partners, ((1 << n) - 1) ^ lone):
+        stack = [(0, 0)]  # (plus, minus) masks still to search; None on a clash
+        comp_first, comp_count = None, 0
+        while stack:
+            state = stack.pop()
+            if state is None:
+                continue
+            plus, minus = state
+            unset = comp & ~(plus | minus)
+            if unset:
+                steps += 1
+                if steps > KS_STEP_BUDGET:
+                    raise ValueError(
+                        f"coloring search exceeded {KS_STEP_BUDGET} steps")
+                low = unset & -unset
+                j = low.bit_length() - 1
+                new = partners[j] & ~plus  # no partner of an uncolored vector is -1
+                down, up = (plus | new, minus | low), (plus | low, minus)
+                stack.append(settle(*down, new) if new else down)
+                stack.append(settle(*up, low) if others[j] else up)  # on top: +1 first
+            else:
+                comp_count += 1
+                comp_first = plus if comp_first is None else comp_first
+                if n > COUNT_CAP:
+                    break
+        if comp_first is None:
+            return ColorabilityResult(False, None, 0 if n <= COUNT_CAP else None)
+        first |= comp_first
+        count *= comp_count
 
-    count = count << lone.bit_count() if n <= COUNT_CAP else None
-    if first is None:
-        return ColorabilityResult(False, None, count)
     coloring = tuple(1 if first >> k & 1 else -1 for k in range(n))
     assert _valid(coloring, vset, mode)
-    return ColorabilityResult(True, coloring, count)
+    return ColorabilityResult(
+        True, coloring, count << lone.bit_count() if n <= COUNT_CAP else None)

@@ -368,6 +368,36 @@ def peres_subsets(draw):
     return [rays[k] for k in draw(st.permutations(sorted(chosen)))[:14]]
 
 
+@st.composite
+def peres_unions(draw):
+    """Two or three Peres subsets of at most 14 rays in all, each turned
+    about its own axis, interleaved in a drawn order; with the number of
+    orthogonal pairs inside the parts."""
+    parts = draw(st.lists(peres_subsets(), min_size=2, max_size=3))
+    vecs, pairs = [], 0
+    for rays in parts:
+        axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: math.hypot(*v) > 0.1))
+        axis = Direction(*(c / math.hypot(*axis) for c in axis))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        part = [rotate(d, axis, angle) for d in rays[:14 // len(parts)]]
+        pairs += len(VectorSet(part).pairs)
+        vecs += part
+    return draw(st.permutations(vecs)), pairs
+
+
+def rotated_pairs(k, seed):
+    """k orthogonal pairs, each turned about a random axis by a random angle."""
+    rng = np.random.default_rng(seed)
+    vecs = []
+    for _ in range(k):
+        axis = rng.normal(size=3)
+        axis = Direction(*(axis / np.linalg.norm(axis)))
+        angle = rng.uniform(0.0, 2 * math.pi)
+        vecs += [rotate(X, axis, angle), rotate(Y, axis, angle)]
+    return vecs
+
+
 class TestKsColorability:
     def test_single_basis_strict(self):
         vset = VectorSet([X, Y, Z])
@@ -444,6 +474,38 @@ class TestKsColorability:
         vecs += [Direction(*(c / math.hypot(*v) for c in v)) for v in extra]
         vset = VectorSet(vecs)
         assert ks_colorability(vset, mode) == backtracking_colorability(vset, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(union=peres_unions(), mode=st.sampled_from(["strict", "relaxed"]))
+    def test_matches_backtracking_on_disjoint_unions(self, union, mode):
+        # each connected component is searched on its own: the first
+        # coloring and the count must still be those of the whole set
+        vecs, pairs = union
+        vset = VectorSet(vecs)
+        assume(len(vset.pairs) == pairs)  # no pair across two parts
+        assert ks_colorability(vset, mode) == backtracking_colorability(vset, mode)
+
+    def test_peres33_behind_16_pairs_is_refuted_once(self, monkeypatch):
+        # 16 disjoint pairs take 2 branchings each to their first coloring,
+        # then Peres' rays 15 to their refutation, all on one budget; a
+        # search of the whole set refuted Peres again for every coloring of
+        # the pairs and used up the budget
+        vset = VectorSet(rotated_pairs(16, seed=7) + peres33())
+        assert len(vset.pairs) == 16 + len(VectorSet(peres33()).pairs)
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 47)
+        assert ks_colorability(vset, "strict") == ColorabilityResult(False, None, None)
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 46)
+        with pytest.raises(ValueError, match="46 steps"):
+            ks_colorability(vset, "strict")
+
+    def test_unsat_component_between_the_rays_of_a_pair(self):
+        # the pair is the component with the lowest index, Peres' rays the
+        # next; the plain search colors the pair three ways before it stops
+        a, b = rotated_pairs(1, seed=3)
+        rays = peres33()
+        vset = VectorSet([a] + rays[:20] + [b] + rays[20:])
+        assert ks_colorability(vset, "strict") == backtracking_colorability(
+            vset, "strict") == ColorabilityResult(False, None, None)
 
     def test_matches_backtracking_on_peres33_and_each_drop(self):
         # 32 and 33 rays lie above COUNT_CAP: the first colorings compare
