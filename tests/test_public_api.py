@@ -11,7 +11,7 @@ CONSOLE_ARGVS = [
     ["verdict", "--p", "2", "--q", "5"],
     ["verdict", "--theta", "0.9", "--q-max", "100"],
     ["oracle", "--p", "2", "--q", "5"],
-    ["quantum-check", "--samples", "10"],
+    ["quantum-check", "--samples", "200", "--seed", "42"],
     ["scan", "--q-max", "30", "--format", "json"],
     ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "0.00628"],
     ["ks-color", str(PERES33)],
