@@ -386,18 +386,6 @@ def peres_unions(draw):
     return draw(st.permutations(vecs)), pairs
 
 
-def rotated_pairs(k, seed):
-    """k orthogonal pairs, each turned about a random axis by a random angle."""
-    rng = np.random.default_rng(seed)
-    vecs = []
-    for _ in range(k):
-        axis = rng.normal(size=3)
-        axis = Direction(*(axis / np.linalg.norm(axis)))
-        angle = rng.uniform(0.0, 2 * math.pi)
-        vecs += [rotate(X, axis, angle), rotate(Y, axis, angle)]
-    return vecs
-
-
 class TestKsColorability:
     def test_single_basis_strict(self):
         vset = VectorSet([X, Y, Z])
@@ -487,25 +475,22 @@ class TestKsColorability:
 
     def test_peres33_behind_16_pairs_is_refuted_once(self, monkeypatch):
         # 16 disjoint pairs take 2 branchings each to their first coloring,
-        # then Peres' rays 15 to their refutation, all on one budget; a
-        # search of the whole set refuted Peres again for every coloring of
-        # the pairs and used up the budget
-        vset = VectorSet(rotated_pairs(16, seed=7) + peres33())
+        # then Peres' rays 15 to their refutation, all on one budget; Peres'
+        # rays are refuted once, not once per coloring of the pairs
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(16):
+            axis = rng.normal(size=3)
+            axis = Direction(*(axis / np.linalg.norm(axis)))
+            angle = rng.uniform(0.0, 2 * math.pi)
+            pairs += [rotate(X, axis, angle), rotate(Y, axis, angle)]
+        vset = VectorSet(pairs + peres33())
         assert len(vset.pairs) == 16 + len(VectorSet(peres33()).pairs)
         monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 47)
         assert ks_colorability(vset, "strict") == ColorabilityResult(False, None, None)
         monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 46)
         with pytest.raises(ValueError, match="46 steps"):
             ks_colorability(vset, "strict")
-
-    def test_unsat_component_between_the_rays_of_a_pair(self):
-        # the pair is the component with the lowest index, Peres' rays the
-        # next; the plain search colors the pair three ways before it stops
-        a, b = rotated_pairs(1, seed=3)
-        rays = peres33()
-        vset = VectorSet([a] + rays[:20] + [b] + rays[20:])
-        assert ks_colorability(vset, "strict") == backtracking_colorability(
-            vset, "strict") == ColorabilityResult(False, None, None)
 
     def test_matches_backtracking_on_peres33_and_each_drop(self):
         # 32 and 33 rays lie above COUNT_CAP: the first colorings compare
