@@ -99,12 +99,21 @@ def decide_row(p: int, q: int, m_f: float) -> tuple[bool, float, float, float]:
     no float lies strictly between them: for g != m_f that rule is g > m_f.
     Only the tie g == m_f needs m itself, and decide_pair_family decides it;
     for q <= 10000 the only tie is 1/2.
+
+    g and theta come from one cosine c of delta = 2.0*math.pi*p/q, in the
+    float operations of g_of_delta and theta_of_delta, so they are theirs
+    bit for bit (TestDecideRow pins this through decide_pair_family).  No
+    range check is needed: q <= 4p <= 2q puts delta within a couple of ulp
+    of [pi/2, pi], far inside angle_family._EPS.  Scan and verdict --theta
+    pass only such p/q.
     """
-    delta = 2.0 * math.pi * p / q  # RationalAngle.delta
-    g = g_of_delta(delta)
+    c = math.cos(2.0 * math.pi * p / q)  # of RationalAngle.delta
+    g = (1.0 + 3.0 * c) / (1.0 - c)
+    g = -1.0 if g < -1.0 else 1.0 if g > 1.0 else g
     classical = g > m_f or g == m_f and decide_pair_family(
         RationalAngle(p, q)).classical
-    return classical, _margin(g, m_f), theta_of_delta(delta), g
+    return (classical, m_f - g if g < 0 else -(1.0 - g),  # _margin(g, m_f)
+            math.atan2(1.0, math.sqrt(-c) if c < 0.0 else 0.0), g)
 
 
 def decide_pair_family_generic() -> tuple[bool, str]:

@@ -140,26 +140,9 @@ def _vector_file(path: str) -> list[Direction]:
     return vecs
 
 
-def _scan_chunks(q_max: int):
-    """CSV lines of the scan table, one list per denominator q = 2..q_max
-    that has rows: reduced p/q in [1/4, 1/2], ascending p."""
-    for q in range(2, q_max + 1):
-        ps = [p for p in range(-(-q // 4), q // 2 + 1) if math.gcd(p, q) == 1]
-        if not ps:
-            continue
-        m_f = float(min_correlation(q))
-        m_text = _fmt(m_f)
-        lines = []
-        for p in ps:
-            classical, margin, theta, g = decide_row(p, q, m_f)
-            lines.append(f"{p},{q},{p / q:.12g},{theta:.12g},{g:.12g},{m_text},"
-                         f"{VERDICT[classical]},{margin:.12g}")
-        yield lines
-
-
-# A scan row as an element of the indented JSON list, filled from the CSV
-# fields in CSV_HEADER order: p and q as numbers, the rest as strings.  The
-# fields are numbers and plain words, so none needs escaping.
+# A scan row as an element of the indented JSON list, with its fields in
+# CSV_HEADER order: p and q as numbers, the rest as strings.  The fields are
+# numbers and plain words, so none needs escaping.
 JSON_ROW = """  {{
     "p": {},
     "q": {},
@@ -171,25 +154,44 @@ JSON_ROW = """  {{
     "margin": "{}"
   }}"""
 
+# Per format: the row as a str.format template over the CSV_HEADER fields,
+# and the text before the first row, between two rows and after the last.
+SCAN_FORMATS = {
+    "csv": (",".join(["{}"] * 8), CSV_HEADER + "\n", "\n", "\n"),
+    "json": (JSON_ROW, "[\n", ",\n", "\n]\n"),
+}
 
-def _json_row(line: str) -> str:
-    """One CSV line as an element of the indented JSON list."""
-    return JSON_ROW.format(*line.split(","))
+
+def _scan_chunks(q_max: int, row: str):
+    """The rows of the scan table, one list per denominator q = 2..q_max
+    that has rows: reduced p/q in [1/4, 1/2], ascending p.
+
+    row is a SCAN_FORMATS template.  Each q fills it once with q and the
+    min_corr text, leaving %-slots for the rest, so a row costs decide_row's
+    one cosine and one %-format."""
+    for q in range(2, q_max + 1):
+        m_f = float(min_correlation(q))
+        # p, q, delta_over_2pi, theta, g, min_corr, verdict, margin
+        line = row.format("%d", q, "%.12g", "%.12g", "%.12g", _fmt(m_f), "%s",
+                          "%.12g")
+        rows = []
+        for p in range(-(-q // 4), q // 2 + 1):
+            if math.gcd(p, q) == 1:
+                classical, margin, theta, g = decide_row(p, q, m_f)
+                rows.append(line % (p, p / q, theta, g, VERDICT[classical], margin))
+        if rows:
+            yield rows
 
 
 def cmd_scan(args) -> None:
-    """Write the table one denominator at a time; memory stays flat."""
+    """Write the table one denominator at a time; memory stays flat.  CSV
+    and JSON differ only in their SCAN_FORMATS entry."""
+    row, head, sep, tail = SCAN_FORMATS[args.format]
     write = sys.stdout.write
-    if args.format == "csv":
-        write(CSV_HEADER + "\n")
-        for lines in _scan_chunks(args.q_max):
-            write("\n".join(lines) + "\n")
-    else:
-        sep = "[\n"
-        for lines in _scan_chunks(args.q_max):
-            write(sep + ",\n".join(map(_json_row, lines)))
-            sep = ",\n"
-        write("\n]\n")
+    for rows in _scan_chunks(args.q_max, row):
+        write(head + sep.join(rows))
+        head = sep
+    write(tail)
 
 
 def _angle(args) -> RationalAngle:

@@ -26,6 +26,7 @@ from contextant.classicality import (
     find_classical_neighbor,
     ks_colorability,
 )
+from contextant.cli import THETA_Q_MAX
 from contextant.spin_algebra import (
     Direction,
     dichotomic,
@@ -217,6 +218,16 @@ class TestDecideRow:
     # g == float(m) < m: a tie that the exact rule makes Nonclassical
     @example(angle=RationalAngle(6782978, 13568301))
     def test_matches_verdict_bitwise_up_to_10000(self, angle):
+        assert same_bits(row_of(angle), decide_pair_family(angle))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), q=st.integers(2, THETA_Q_MAX))
+    def test_matches_verdict_bitwise_up_to_theta_q_max(self, data, q):
+        # verdict --theta decides approximants with q up to THETA_Q_MAX;
+        # p is drawn directly, as listing the members of such a q is slow
+        p = data.draw(st.integers(-(-q // 4), q // 2))
+        assume(math.gcd(p, q) == 1)
+        angle = RationalAngle(p, q)
         assert same_bits(row_of(angle), decide_pair_family(angle))
 
     def test_exact_path_is_entered_only_for_the_tie_1_2_up_to_2000(self, monkeypatch):

@@ -153,6 +153,20 @@ class TestScan:
         assert len(writes) == denominators + 1
         assert max(writes) < sum(writes) / 50
 
+    def test_csv_and_json_hold_the_same_fields(self, capsys):
+        import csv
+        import json
+
+        assert main(["scan", "--q-max", "500"]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert main(["scan", "--q-max", "500", "--format", "json"]) == 0
+        elements = json.loads(capsys.readouterr().out)
+        assert header == cli.CSV_HEADER.split(",")
+        assert len(rows) == len(elements)
+        for row, element in zip(rows, elements):
+            assert list(element) == header
+            assert [str(v) for v in element.values()] == row
+
     def test_deterministic_across_runs(self):
         a = run_cli("scan", "--q-max", "64").stdout
         b = run_cli("scan", "--q-max", "64").stdout
