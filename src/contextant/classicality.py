@@ -23,7 +23,7 @@ from .assignment_model import (
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
 # Branchings of ks_colorability: Peres' 33 rays take 15, one ray and 19 orthogonal
-# to it 524,288, COUNT_CAP lone vectors 0; using it all up takes 7-9 s (README).
+# to it 524,288, COUNT_CAP lone vectors 20; using it all up takes 7-9 s (README).
 KS_STEP_BUDGET = 1_000_000
 # Dot products plus triple-candidate checks of VectorSet: 5,000 vectors
 # without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
@@ -37,10 +37,11 @@ class ClassicalityVerdict:
     """Outcome of the hidden-variable decision for the member angle.
 
     min_corr is the exact classical minimum of the member's parity class.
-    A Classical verdict's witness is a mixture reproducing the quantum
-    correlation g exactly; a Nonclassical verdict has witness None, and its
-    certificate is g against min_corr, which g lies below.  The margin is
-    positive iff nonclassical.
+    A Classical verdict's witness is a mixture reproducing Fraction(g), the
+    exact float g: for irrational cos(2*pi*p/q) a float neighbour of the
+    member's correlation (at 1/3 the optimal weight is 36028797018963957/
+    36028797018963968, not 1).  A Nonclassical verdict has witness None and
+    the certificate g < min_corr.  The margin is positive iff nonclassical.
     """
 
     classical: bool
@@ -68,9 +69,10 @@ def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
 
     Classical exactly when Fraction(g) is at least the closed-form minimum
     m: -1 for even q, -(2n-1)/(2n+1) for odd q = 2n+1 (equality
-    reproduces, hence classical).  Only a Classical member gets a witness,
-    the two-component mixture of mixture_for_target.  Raises ValueError
-    for a Classical member whose q exceeds WITNESS_Q_MAX.
+    reproduces, hence classical).  Only a Classical member gets a witness:
+    mixture_for_target's two-component mixture reproducing Fraction(g) (see
+    ClassicalityVerdict).  Raises ValueError for a Classical member whose q
+    exceeds WITNESS_Q_MAX.
     """
     delta = angle.delta
     g = g_of_delta(delta)
@@ -236,10 +238,10 @@ def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:
     return True
 
 
-def _components(partners: list[int], rest: int):
-    """The connected components of the vectors in the mask rest, as masks in
-    order of their lowest index; partners[k] is the mask of k's neighbours,
-    all in rest."""
+def _components(partners: list[int]):
+    """The connected components of the pair graph, as masks in order of
+    their lowest index; partners[k] is the mask of k's neighbours."""
+    rest = (1 << len(partners)) - 1
     while rest:
         comp = edge = rest & -rest
         while edge:  # flood fill: edge holds the vectors reached last
@@ -266,7 +268,8 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     Each connected component of the pair graph is searched on its own, in
     order of its lowest index: the components are independent, so the set
     is UNSAT if one of them is, its first coloring is the union of theirs
-    and its count the product of theirs.  Raises ValueError after
+    and its count the product of theirs; a vector without a partner is one
+    (one branching, +1 first, x2 on the count).  Raises ValueError after
     KS_STEP_BUDGET branchings over all components.
     """
     if mode not in ("strict", "relaxed"):
@@ -297,10 +300,8 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
                     plus, ups = plus | new, ups | new & ~plus
         return plus, minus
 
-    # a vector without a partner is +1 in the first coloring, x2 on the count
-    lone = sum(1 << k for k in range(n) if not partners[k])
-    first, steps, count = lone, 0, 1
-    for comp in _components(partners, ((1 << n) - 1) ^ lone):
+    first, steps, count = 0, 0, 1
+    for comp in _components(partners):
         stack = [(0, 0)]  # (plus, minus) masks still to search; None on a clash
         comp_first, comp_count = None, 0
         while stack:
@@ -333,4 +334,4 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
     coloring = tuple(1 if first >> k & 1 else -1 for k in range(n))
     assert _valid(coloring, vset, mode)
     return ColorabilityResult(
-        True, coloring, count << lone.bit_count() if n <= COUNT_CAP else None)
+        True, coloring, count if n <= COUNT_CAP else None)

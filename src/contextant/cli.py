@@ -291,7 +291,7 @@ def cmd_quantum_check(args) -> None:
         a = dichotomic(direction_from_angles(theta, phi))
         b = dichotomic(direction_from_angles(theta, phi + delta_of_theta(theta)))
         comm.append(commutator_norm(a, b))
-        g_res.append(abs(expectation(rho, [matmul(a, b)]) - g_of_theta(theta)))
+        g_res.append(abs(expectation(rho, matmul(a, b)) - g_of_theta(theta)))
     n_triples = min(args.samples, 100)
     triples = [triple_product_check(*_orthonormal_triple(rng))
                for _ in range(n_triples)]

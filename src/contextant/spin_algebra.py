@@ -8,27 +8,20 @@ floats in row-major order, so math.dist gives the Frobenius norm of a - b.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 
 from .angle_family import Direction
 
 Matrix = tuple[float, ...]
 
-# The largest defect a check accepts: a commutator norm, a dot product of a
-# triple, or the distance of a^2 from I and of tr a from 1; nan fails them.
-# |[A_u, A_v]|_F = 4 sqrt(2) |u.v| sqrt(1 - (u.v)^2) for unit u, v, so it
-# passes pairs within 1.8e-11 of orthogonal or collinear and fails the rest;
-# float rounding leaves the defects of directions from angles below 1e-14.
+# The largest defect a check here accepts: a dot product of a triple, or the
+# distance of a^2 from I and of tr a from 1; nan fails them.  No check here
+# reads a commutator: cli.QUANTUM_COMM_TOL bounds quantum-check's residual.
+# Float rounding leaves the defects of directions from angles below 1e-14.
 COMPAT_TOL = 1e-10
 
 IDENTITY: Matrix = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 _MINUS_IDENTITY: Matrix = (-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)
-
-
-class CompatibilityError(ValueError):
-    """Raised when an operation requires commuting observables and gets none."""
 
 
 def direction_from_angles(theta: float, phi: float) -> Direction:
@@ -70,22 +63,13 @@ def commutator_norm(a: Matrix, b: Matrix) -> float:
     return math.dist(matmul(a, b), matmul(b, a))
 
 
-def expectation(rho: Matrix, ops: list[Matrix]) -> float:
-    """Tr(rho A B ...) for pairwise-commuting observables A, B, ...
+def expectation(rho: Matrix, a: Matrix) -> float:
+    """Tr(rho a), the math.fsum of its nine products rho_ij a_ji.
 
-    Raises CompatibilityError if any pair of the operators fails to commute
-    within COMPAT_TOL; the product is only an observable for a commuting
-    family.
+    A product of observables is one only when its factors commute; the
+    caller checks that (quantum-check reports their commutator norm).
     """
-    if not ops:
-        raise ValueError("expectation requires at least one operator")
-    for (i, a), (j, b) in itertools.combinations(enumerate(ops), 2):
-        c = commutator_norm(a, b)
-        if not c <= COMPAT_TOL:
-            raise CompatibilityError(
-                f"operators {i} and {j} do not commute (|[A,B]| = {c:.3e})")
-    prod = functools.reduce(matmul, ops)
-    return math.fsum(rho[3 * i + j] * prod[3 * j + i]
+    return math.fsum(rho[3 * i + j] * a[3 * j + i]
                      for i in range(3) for j in range(3))
 
 

@@ -22,24 +22,21 @@ from contextant.classicality import (
     ks_colorability,
 )
 from contextant.spin_algebra import (
+    COMPAT_TOL,
     Direction,
     commutator_norm,
     dichotomic,
     direction_from_angles,
     expectation,
+    matmul,
     minus_one_eigenprojector,
     triple_product_check,
 )
 from contextant.angle_family import delta_of_theta, g_of_theta
 
+from conftest import coprime_pairs
+
 Z = Direction(0.0, 0.0, 1.0)
-
-
-def coprime_pairs(q_max):
-    for q in range(2, q_max + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) == 1 and Fraction(1, 4) <= Fraction(p, q) <= Fraction(1, 2):
-                yield p, q
 
 
 def report(name, start, budget):
@@ -57,16 +54,13 @@ def test_criterion_1_kcbs_reproduction():
     delta = angle.delta
     theta = theta_of_delta(delta)
     rho = minus_one_eigenprojector(dichotomic(Z))
-    quantum_sum = sum(
-        expectation(
-            rho,
-            [
-                dichotomic(direction_from_angles(theta, j * delta)),
-                dichotomic(direction_from_angles(theta, (j + 1) * delta)),
-            ],
-        )
-        for j in range(5)
-    )
+    quantum_sum = 0.0
+    for j in range(5):
+        a = dichotomic(direction_from_angles(theta, j * delta))
+        b = dichotomic(direction_from_angles(theta, (j + 1) * delta))
+        # the product is an observable only for a commuting pair
+        assert commutator_norm(a, b) <= COMPAT_TOL
+        quantum_sum += expectation(rho, matmul(a, b))
     assert quantum_sum == pytest.approx(target, abs=1e-9)
 
     # route 2: closed-form g
@@ -114,7 +108,7 @@ def test_criterion_4_quantum_side_identities():
         a = dichotomic(direction_from_angles(theta, phi))
         b = dichotomic(direction_from_angles(theta, phi + delta))
         assert commutator_norm(a, b) < 1e-12
-        assert abs(expectation(rho, [a, b]) - (1 - 4 * math.cos(theta) ** 2)) < 1e-12
+        assert abs(expectation(rho, matmul(a, b)) - (1 - 4 * math.cos(theta) ** 2)) < 1e-12
     for _ in range(100):
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))

@@ -18,13 +18,6 @@ from contextant.angle_family import (
 )
 
 
-def coprime_pairs(q_max):
-    for q in range(2, q_max + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) == 1 and Fraction(1, 4) <= Fraction(p, q) <= Fraction(1, 2):
-                yield p, q
-
-
 class TestDeltaOfTheta:
     def test_endpoints(self):
         assert delta_of_theta(math.pi / 4) == pytest.approx(math.pi, abs=1e-12)

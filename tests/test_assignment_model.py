@@ -21,12 +21,7 @@ from contextant.assignment_model import (
     uniform_assignment,
 )
 
-
-def coprime_pairs(q_max):
-    for q in range(2, q_max + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) == 1 and Fraction(1, 4) <= Fraction(p, q) <= Fraction(1, 2):
-                yield p, q
+from conftest import coprime_pairs
 
 
 def naive_min(q):

@@ -28,12 +28,17 @@ from contextant.classicality import (
 )
 from contextant.cli import THETA_Q_MAX
 from contextant.spin_algebra import (
+    COMPAT_TOL,
     Direction,
+    commutator_norm,
     dichotomic,
     direction_from_angles,
     expectation,
+    matmul,
     minus_one_eigenprojector,
 )
+
+from conftest import coprime_pairs
 
 X = Direction(1.0, 0.0, 0.0)
 Y = Direction(0.0, 1.0, 0.0)
@@ -45,13 +50,6 @@ PERES33 = Path(__file__).parent / "data" / "peres33.txt"
 def peres33():
     return [Direction(*map(float, line.split()))
             for line in PERES33.read_text(encoding="utf-8").splitlines()]
-
-
-def coprime_pairs(q_max):
-    for q in range(2, q_max + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) == 1 and Fraction(1, 4) <= Fraction(p, q) <= Fraction(1, 2):
-                yield p, q
 
 
 def rotate(d, axis, angle):
@@ -104,11 +102,10 @@ class TestDecidePairFamily:
             v = decide_pair_family(angle)
             delta = angle.delta
             theta = theta_of_delta(delta)
-            ops = [
-                dichotomic(direction_from_angles(theta, 0.0)),
-                dichotomic(direction_from_angles(theta, delta)),
-            ]
-            quantum = expectation(rho, ops)
+            a = dichotomic(direction_from_angles(theta, 0.0))
+            b = dichotomic(direction_from_angles(theta, delta))
+            assert commutator_norm(a, b) <= COMPAT_TOL
+            quantum = expectation(rho, matmul(a, b))
             assert quantum == pytest.approx(v.g, abs=1e-12)
             hv_min, _ = brute_force_min(q)
             # strict comparison, exact on the hidden-variable side
@@ -452,6 +449,20 @@ class TestKsColorability:
         assert not ks_colorability(vset, "strict").satisfiable
         monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", 14)
         with pytest.raises(ValueError, match="14 steps"):
+            ks_colorability(vset, "strict")
+
+    def test_lone_vectors_on_the_step_budget(self, monkeypatch):
+        # COUNT_CAP directions in a cone about z: no orthogonal pair, so each
+        # vector is a component of its own, one branching, +1 first, x2 count
+        vecs = [Direction(*(c / math.sqrt(5.0) for c in (math.cos(k), math.sin(k), 2.0)))
+                for k in range(COUNT_CAP)]
+        vset = VectorSet(vecs)
+        assert not vset.pairs
+        expected = ColorabilityResult(True, (1,) * COUNT_CAP, 2 ** COUNT_CAP)
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", COUNT_CAP)
+        assert ks_colorability(vset, "strict") == expected
+        monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", COUNT_CAP - 1)
+        with pytest.raises(ValueError, match=f"{COUNT_CAP - 1} steps"):
             ks_colorability(vset, "strict")
 
     @settings(max_examples=300, deadline=None)

@@ -10,11 +10,12 @@ PERES33 = Path(__file__).parent / "data" / "peres33.txt"
 CONSOLE_ARGVS = [
     ["verdict", "--p", "2", "--q", "5"],
     ["verdict", "--theta", "0.9", "--q-max", "100"],
-    ["oracle", "--p", "2", "--q", "5"],
+    ["oracle", "--p", "10", "--q", "21"],
     ["quantum-check", "--samples", "200", "--seed", "42"],
     ["scan", "--q-max", "300"],
     ["scan", "--q-max", "300", "--format", "json"],
-    ["discontinuity", "--p", "2", "--q", "5", "--epsilon", "0.00628"],
+    ["discontinuity", "--p", "3", "--q", "7", "--epsilon", "0.0006283185307179586",
+     "--q-max", "100000"],
     ["ks-color", str(PERES33)],
 ]
 

@@ -8,13 +8,14 @@ import pytest
 
 from contextant.angle_family import delta_of_theta, g_of_theta
 from contextant.spin_algebra import (
+    COMPAT_TOL,
     IDENTITY,
-    CompatibilityError,
     Direction,
     commutator_norm,
     dichotomic,
     direction_from_angles,
     expectation,
+    matmul,
     minus_one_eigenprojector,
     triple_product_check,
 )
@@ -160,35 +161,43 @@ class TestDichotomic:
 class TestExpectation:
     def test_identity_has_unit_expectation(self):
         rho = random_density_matrix()
-        assert expectation(rho, [IDENTITY]) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(rho, IDENTITY) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_numpy_trace(self):
+        # any matrix, symmetric or not: Tr(rho a) = sum_ij rho_ij a_ji
+        for _ in range(10):
+            rho, a = random_density_matrix(), flat(RNG.normal(size=(3, 3)))
+            assert expectation(rho, a) == pytest.approx(
+                np.trace(square(rho) @ square(a)), abs=1e-12)
 
     def test_axis_triple_is_minus_one_for_any_state(self):
-        ops = [dichotomic(X), dichotomic(Y), dichotomic(Z)]
+        ax, ay, az = dichotomic(X), dichotomic(Y), dichotomic(Z)
+        for u, v in ((ax, ay), (ax, az), (ay, az)):
+            assert commutator_norm(u, v) <= COMPAT_TOL
+        prod = matmul(matmul(ax, ay), az)
         for _ in range(10):
             rho = random_density_matrix()
-            assert expectation(rho, ops) == pytest.approx(-1.0, abs=1e-10)
+            assert expectation(rho, prod) == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("theta", [math.pi / 4, 0.9, math.pi / 3, math.pi / 2])
     def test_pair_correlation_matches_g(self, theta):
         rho = minus_one_eigenprojector(dichotomic(Z))
         delta = delta_of_theta(theta)
-        ops = [
-            dichotomic(direction_from_angles(theta, 0.0)),
-            dichotomic(direction_from_angles(theta, delta)),
-        ]
-        assert expectation(rho, ops) == pytest.approx(
+        a = dichotomic(direction_from_angles(theta, 0.0))
+        b = dichotomic(direction_from_angles(theta, delta))
+        assert commutator_norm(a, b) <= COMPAT_TOL
+        assert expectation(rho, matmul(a, b)) == pytest.approx(
             1 - 4 * math.cos(theta) ** 2, abs=1e-12
         )
 
     def test_noncommuting_rejected(self):
-        rho = random_density_matrix()
+        # the product of a non-commuting pair is no observable: the caller's
+        # commutator check must refuse it
         tilted = Direction(math.sqrt(0.5), 0.0, math.sqrt(0.5))
-        with pytest.raises(CompatibilityError):
-            expectation(rho, [dichotomic(X), dichotomic(tilted)])
+        assert not commutator_norm(dichotomic(X), dichotomic(tilted)) <= COMPAT_TOL
 
     def test_nan_commutator_rejected(self):
-        with pytest.raises(CompatibilityError):
-            expectation(IDENTITY, [dichotomic(NAN), dichotomic(X)])
+        assert not commutator_norm(dichotomic(NAN), dichotomic(X)) <= COMPAT_TOL
 
 
 class TestCommutatorNorm:
@@ -233,7 +242,7 @@ class TestMinusOneEigenprojector:
             p = minus_one_eigenprojector(a)
             m = square(p)
             assert np.linalg.norm(m @ m - m) < 1e-12
-            assert expectation(p, [a]) == pytest.approx(-1.0, abs=1e-12)
+            assert expectation(p, a) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_non_dichotomic(self):
         # S_z in its eigenbasis, diag(1, 0, -1), squares to diag(1, 0, 1)
@@ -287,8 +296,7 @@ def test_fixed_state_correlation_equals_g_on_grid():
     rho = minus_one_eigenprojector(dichotomic(Z))
     for theta in np.linspace(math.pi / 4, math.pi / 2, 1000):
         delta = delta_of_theta(theta)
-        ops = [
-            dichotomic(direction_from_angles(theta, 0.0)),
-            dichotomic(direction_from_angles(theta, delta)),
-        ]
-        assert abs(expectation(rho, ops) - g_of_theta(theta)) < 1e-12
+        a = dichotomic(direction_from_angles(theta, 0.0))
+        b = dichotomic(direction_from_angles(theta, delta))
+        assert commutator_norm(a, b) <= COMPAT_TOL
+        assert abs(expectation(rho, matmul(a, b)) - g_of_theta(theta)) < 1e-12
