@@ -1,9 +1,9 @@
 """Hidden-variable outcome functions on the circle.
 
-Cycle assignments (arc-piecewise-constant +-1 functions), their exact
-correlation, the closed-form minima for the two parity classes of q, the
-optimal construction, an independent exact-minimum oracle, and the mixture
-that reproduces the correlation of a member already decided Classical.
+Cycle assignments (arc-piecewise-constant +-1 functions) for the exact
+minimum oracle, the closed-form minima for the two parity classes of q,
+and the mixture of two closed-form sign patterns that reproduces the
+correlation of a member already decided Classical.
 
 Correlations are kept as exact Fractions; floats appear only at the
 quantum interface.
@@ -11,6 +11,7 @@ quantum interface.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ class ExclusivityError(ValueError):
 WITNESS_Q_MAX = 10_000_000
 
 _SIGNS = str.maketrans("01", "+-")
-_VALUE = {"+": 1, "-": -1}
 
 
 def _rot1(mask: int, q: int) -> int:
@@ -65,17 +65,6 @@ class CycleAssignment:
         """'+'/'-' per cycle position, position 0 first."""
         return format(self.mask, f"0{self.q}b")[::-1].translate(_SIGNS)
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        """values[k] is the outcome (+1 or -1) on cycle position k."""
-        return tuple(map(_VALUE.__getitem__, self.signs))
-
-
-def cycle_correlation(a: CycleAssignment) -> Fraction:
-    """(1/q) * sum_k values[k] * values[k+1 mod q], exact: each cyclic edge
-    adds +1 when its two bits agree and -1 when they differ."""
-    return Fraction(a.q - 2 * (a.mask ^ _rot1(a.mask, a.q)).bit_count(), a.q)
-
 
 def min_correlation(q: int) -> Fraction:
     """Closed-form minimum of the normalized correlation over admissible
@@ -85,21 +74,6 @@ def min_correlation(q: int) -> Fraction:
     return Fraction(-(2 * n - 1), 2 * n + 1) if odd else Fraction(-1)
 
 
-def optimal_assignment(q: int) -> CycleAssignment:
-    """Exclusivity-respecting minimizer of the cycle correlation on q
-    positions.
-
-    Alternating +-1 along the cycle; for odd q the wrap-around pair is the
-    single (+1, +1) seam.  Attains min_correlation exactly.
-    """
-    return CycleAssignment(q, ((1 << 2 * (q // 2)) - 1) // 3 << 1)
-
-
-def uniform_assignment(q: int) -> CycleAssignment:
-    """All-(+1) assignment; correlation +1."""
-    return CycleAssignment(q, 0)
-
-
 def brute_force_min(q: int) -> tuple[Fraction, CycleAssignment]:
     """Exact minimum over all 2^q sign vectors on q cycle positions
     respecting exclusivity, with its minimizer.
@@ -107,7 +81,9 @@ def brute_force_min(q: int) -> tuple[Fraction, CycleAssignment]:
     Independent oracle for min_correlation: a min-plus transfer-matrix
     sweep around the cycle that never looks at the parity of q, with the
     lowest-mask tie-break of an exhaustive enumeration.  It is no longer
-    brute force; the name is kept because the benchmark wraps it.
+    brute force; the name is kept because the benchmark wraps it.  Its
+    minimizer is the only CycleAssignment the program builds: a witness
+    holds the closed-form sign strings of mixture_for_target.
 
     Resource limit: q <= _kernel.Q_MAX (100,000); min_cycle_sum raises
     ValueError for larger q.
@@ -116,46 +92,30 @@ def brute_force_min(q: int) -> tuple[Fraction, CycleAssignment]:
     return Fraction(best_sum, q), CycleAssignment(q, best_mask)
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
-    """Finite mixture of cycle assignments with nonnegative weights summing
-    to 1.  Weights are exact Fractions so reproduction claims are exact."""
-
-    components: tuple[tuple[Fraction, CycleAssignment], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("model must have at least one component")
-        total = sum(w for w, _ in self.components)
-        if any(w < 0 for w, _ in self.components):
-            raise ValueError("weights must be nonnegative")
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
-
-    def correlation(self) -> Fraction:
-        return sum(w * cycle_correlation(a) for w, a in self.components)
+# A witness: (weight, sign string) pairs, position 0 first in each string.
+Mixture = namedtuple("Mixture", "components")
 
 
-def mixture_for_target(
-    target: Fraction, m: Fraction, q: int
-) -> HiddenVariableModel:
-    """Two-component mixture of the optimal and uniform assignments on q
-    positions whose correlation equals target exactly; m is the minimum
-    min_correlation of q's parity class, the optimal component's value.
+def mixture_for_target(target: Fraction, m: Fraction, q: int) -> Mixture:
+    """Mixture of two closed-form patterns on q positions whose correlation
+    equals target exactly; m is min_correlation(q).
 
-    The caller decides: target must lie in [m, 1], and HiddenVariableModel
-    rejects a weight outside [0, 1], so a target outside raises ValueError.
-    Resource limit: q > WITNESS_Q_MAX raises ValueError before any
-    assignment is built.
+    The optimal pattern alternates "+-" from position 0, with one "+" more
+    for odd q, whose wrap-around pair is the single ("+", "+") seam: it
+    attains m.  The uniform pattern "+" * q has correlation 1.  So the
+    certificate is the weight w = (1 - target)/(1 - m) on the optimal one
+    together with q.
+
+    Raises ValueError for q > WITNESS_Q_MAX (before any pattern is built)
+    and for a target outside [m, 1], where a weight would be negative.
     """
     if q > WITNESS_Q_MAX:
         raise ValueError(
             f"q = {q} above the witness limit {WITNESS_Q_MAX}"
         )
-    w = (1 - target) / (1 - m)  # weight on the optimal component
-    return HiddenVariableModel(
-        (
-            (w, optimal_assignment(q)),
-            (1 - w, uniform_assignment(q)),
+    if not m <= target <= 1:
+        raise ValueError(
+            f"target {target} outside [{m}, 1]: weights must be nonnegative"
         )
-    )
+    w = (1 - target) / (1 - m)  # weight on the optimal pattern
+    return Mixture(((w, "+-" * (q // 2) + "+" * (q % 2)), (1 - w, "+" * q)))

@@ -14,11 +14,7 @@ from .angle_family import (
     g_of_delta,
     theta_of_delta,
 )
-from .assignment_model import (
-    HiddenVariableModel,
-    min_correlation,
-    mixture_for_target,
-)
+from .assignment_model import Mixture, min_correlation, mixture_for_target
 
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
@@ -37,11 +33,14 @@ class ClassicalityVerdict:
     """Outcome of the hidden-variable decision for the member angle.
 
     min_corr is the exact classical minimum of the member's parity class.
-    A Classical verdict's witness is a mixture reproducing Fraction(g), the
+    A Classical verdict's certificate is (w, q): its witness mixes the
+    closed-form alternating pattern, which attains min_corr, with weight
+    w = (1 - Fraction(g))/(1 - min_corr) and the all-"+" pattern with
+    weight 1 - w, both q characters long.  It reproduces Fraction(g), the
     exact float g: for irrational cos(2*pi*p/q) a float neighbour of the
-    member's correlation (at 1/3 the optimal weight is 36028797018963957/
-    36028797018963968, not 1).  A Nonclassical verdict has witness None and
-    the certificate g < min_corr.  The margin is positive iff nonclassical.
+    member's correlation (at 1/3 w is 36028797018963957/36028797018963968,
+    not 1).  A Nonclassical verdict has witness None and the certificate
+    g < min_corr.  The margin is positive iff nonclassical.
     """
 
     classical: bool
@@ -51,7 +50,7 @@ class ClassicalityVerdict:
     g: float
     min_corr: Fraction
     angle: RationalAngle
-    witness: HiddenVariableModel | None
+    witness: Mixture | None
 
     @property
     def verdict(self) -> str:
@@ -70,9 +69,9 @@ def decide_pair_family(angle: RationalAngle) -> ClassicalityVerdict:
     Classical exactly when Fraction(g) is at least the closed-form minimum
     m: -1 for even q, -(2n-1)/(2n+1) for odd q = 2n+1 (equality
     reproduces, hence classical).  Only a Classical member gets a witness:
-    mixture_for_target's two-component mixture reproducing Fraction(g) (see
-    ClassicalityVerdict).  Raises ValueError for a Classical member whose q
-    exceeds WITNESS_Q_MAX.
+    mixture_for_target's weight w on the alternating pattern and 1 - w on
+    the all-"+" one, reproducing Fraction(g) (see ClassicalityVerdict).
+    Raises ValueError for a Classical member whose q exceeds WITNESS_Q_MAX.
     """
     delta = angle.delta
     g = g_of_delta(delta)

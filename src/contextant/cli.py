@@ -38,7 +38,6 @@ from .classicality import (
     ks_colorability,
 )
 from .spin_algebra import (
-    commutator_norm,
     dichotomic,
     direction_from_angles,
     expectation,
@@ -215,7 +214,7 @@ def _verdict_lines(v) -> list[str]:
         f"margin: {_fmt(v.margin)}",
     ]
     if v.classical:
-        parts = [f"weight {w} on ({a.signs})" for w, a in v.witness.components]
+        parts = [f"weight {w} on ({s})" for w, s in v.witness.components]
         lines.append("witness mixture: " + "; ".join(parts))
     else:
         lines.append(
@@ -290,8 +289,11 @@ def cmd_quantum_check(args) -> None:
         phi = rng.uniform(0.0, 2 * math.pi)
         a = dichotomic(direction_from_angles(theta, phi))
         b = dichotomic(direction_from_angles(theta, phi + delta_of_theta(theta)))
-        comm.append(commutator_norm(a, b))
-        g_res.append(abs(expectation(rho, matmul(a, b)) - g_of_theta(theta)))
+        # a and b are exactly symmetric, so ba is the transpose of ab: the
+        # same products summed in the same order as commutator_norm's
+        ab = matmul(a, b)
+        comm.append(math.dist(ab, ab[0::3] + ab[1::3] + ab[2::3]))
+        g_res.append(abs(expectation(rho, ab) - g_of_theta(theta)))
     n_triples = min(args.samples, 100)
     triples = [triple_product_check(*_orthonormal_triple(rng))
                for _ in range(n_triples)]
@@ -318,6 +320,9 @@ def cmd_discontinuity(args) -> None:
         raise Exit(EXIT_USAGE, f"{args.p}/{args.q} is Classical; "
                    "the probe needs a Nonclassical start")
     eps_frac = args.epsilon / (2.0 * math.pi)
+    if eps_frac == 0:
+        raise Exit(EXIT_USAGE, f"--epsilon {args.epsilon!r} rounds to a "
+                   "radius of 0 in delta/2pi")
     # a neighbour above the witness limit would exit 3 at _decide anyway
     q_max = min(args.q_max, WITNESS_Q_MAX)
     found, dist = find_classical_neighbor(angle, Fraction(eps_frac), q_max)

@@ -34,7 +34,7 @@ from contextant.spin_algebra import (
 )
 from contextant.angle_family import delta_of_theta, g_of_theta
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, mixture_correlation
 
 Z = Direction(0.0, 0.0, 1.0)
 
@@ -125,8 +125,8 @@ def test_criterion_5_classical_witness_exactness():
         if not v.classical:
             continue
         assert v.witness is not None
-        assert v.witness.correlation() == Fraction(v.g)
-        assert abs(float(v.witness.correlation()) - v.g) < 1e-12
+        assert mixture_correlation(v.witness.components) == Fraction(v.g)
+        assert abs(float(mixture_correlation(v.witness.components)) - v.g) < 1e-12
         w = v.witness.components[0][0]
         m = min_correlation(v.angle.q)
         assert v.min_corr == m

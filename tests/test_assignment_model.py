@@ -12,16 +12,12 @@ from contextant.assignment_model import (
     WITNESS_Q_MAX,
     CycleAssignment,
     ExclusivityError,
-    HiddenVariableModel,
     brute_force_min,
-    cycle_correlation,
     min_correlation,
     mixture_for_target,
-    optimal_assignment,
-    uniform_assignment,
 )
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, mixture_correlation, signs_correlation
 
 
 def naive_min(q):
@@ -55,6 +51,24 @@ def from_values(values):
     )
 
 
+def signs_values(signs):
+    """The +-1 outcome per cycle position of a sign string."""
+    return tuple(1 if c == "+" else -1 for c in signs)
+
+
+def optimal_mask(q):
+    """The alternating minimizer as a q-bit mask (bit k set = -1 at k): -1
+    on the odd positions below 2 * (q // 2)."""
+    return ((1 << 2 * (q // 2)) - 1) // 3 << 1
+
+
+def patterns(q):
+    """The (optimal, uniform) sign strings a witness on q positions prints."""
+    (_, optimal), (_, uniform) = mixture_for_target(
+        Fraction(1), min_correlation(q), q).components
+    return optimal, uniform
+
+
 class TestCycleAssignment:
     def test_rejects_adjacent_minus_pair(self):
         with pytest.raises(ExclusivityError, match="positions 1 and 2"):
@@ -76,7 +90,7 @@ class TestCycleAssignment:
     @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12))
     def test_constructor_enforces_exclusivity(self, values):
         if is_admissible(values):
-            assert from_values(values).values == tuple(values)
+            assert signs_values(from_values(values).signs) == tuple(values)
         else:
             with pytest.raises(ExclusivityError):
                 from_values(values)
@@ -90,8 +104,8 @@ class TestCycleAssignment:
                         CycleAssignment(q, mask)
                     continue
                 a = CycleAssignment(q, mask)
-                assert a.values == values
-                assert cycle_correlation(a) == tuple_correlation(values)
+                assert signs_values(a.signs) == values
+                assert signs_correlation(a.signs) == tuple_correlation(values)
 
     def test_signs_and_values_round_trip(self):
         for q in range(1, 11):
@@ -100,22 +114,23 @@ class TestCycleAssignment:
                     continue
                 a = CycleAssignment(q, mask)
                 assert len(a.signs) == q
-                assert a.signs == "".join("+" if v == 1 else "-" for v in a.values)
-                assert from_values(a.values) == a
+                assert from_values(signs_values(a.signs)) == a
 
 
 class TestCycleCorrelation:
+    """The test-side correlation of a sign string."""
+
     def test_pentagram_alternating(self):
-        a = from_values((1, -1, 1, -1, 1))
-        assert cycle_correlation(a) == Fraction(-3, 5)
+        assert signs_correlation("+-+-+") == Fraction(-3, 5)
 
     def test_even_alternating(self):
-        a = from_values((1, -1, 1, -1))
-        assert cycle_correlation(a) == Fraction(-1)
+        assert signs_correlation("+-+-") == Fraction(-1)
 
     def test_uniform(self):
-        for q in (1, 2, 5, 9):
-            assert cycle_correlation(uniform_assignment(q)) == 1
+        for q in (2, 5, 9):
+            _, uniform = patterns(q)
+            assert uniform == "+" * q
+            assert signs_correlation(uniform) == 1
 
 
 class TestMinCorrelation:
@@ -134,51 +149,53 @@ class TestMinCorrelation:
 
 
 class TestOptimalAssignment:
+    """The optimal pattern a witness prints."""
+
     def test_quarter(self):
-        a = optimal_assignment(4)
-        assert a.values == (1, -1, 1, -1)
-        assert cycle_correlation(a) == Fraction(-1)
+        optimal, _ = patterns(4)
+        assert optimal == "+-+-"
+        assert signs_correlation(optimal) == Fraction(-1)
 
     def test_pentagram(self):
-        a = optimal_assignment(5)
-        assert a.values == (1, -1, 1, -1, 1)
-        assert cycle_correlation(a) == Fraction(-3, 5)
+        optimal, _ = patterns(5)
+        assert optimal == "+-+-+"
+        assert signs_correlation(optimal) == Fraction(-3, 5)
 
     def test_third(self):
-        a = optimal_assignment(3)
-        assert a.values == (1, -1, 1)
-        assert cycle_correlation(a) == Fraction(-1, 3)
+        optimal, _ = patterns(3)
+        assert optimal == "+-+"
+        assert signs_correlation(optimal) == Fraction(-1, 3)
 
     def test_attains_closed_form_minimum(self):
-        for p, q in coprime_pairs(32):
-            assert cycle_correlation(optimal_assignment(q)) == min_correlation(q)
+        """Up to q = 2000 the pattern is the mask of the earlier
+        construction, admissible and minimal."""
+        for q in range(2, 2001):
+            optimal, _ = patterns(q)
+            assert optimal == CycleAssignment(q, optimal_mask(q)).signs
+            assert "--" not in optimal + optimal[0]
+            assert signs_correlation(optimal) == min_correlation(q)
 
     def test_alternating_up_to_q_200(self):
         for q in range(2, 201):
-            a = optimal_assignment(q)
-            assert a.values == tuple(1 if k % 2 == 0 else -1 for k in range(q))
+            assert signs_values(patterns(q)[0]) == tuple(
+                1 if k % 2 == 0 else -1 for k in range(q))
 
     def test_odd_cycle_has_single_plus_plus_seam(self):
         for q in (3, 5, 7, 9, 11):
-            a = optimal_assignment(q)
-            seams = sum(
-                1
-                for k in range(q)
-                if a.values[k] == 1 and a.values[(k + 1) % q] == 1
-            )
-            assert seams == 1
+            optimal, _ = patterns(q)
+            assert (optimal + optimal[0]).count("++") == 1
 
 
 class TestBruteForce:
     def test_pentagram(self):
         corr, a = brute_force_min(5)
         assert corr == Fraction(-3, 5)
-        assert cycle_correlation(a) == corr
+        assert signs_correlation(a.signs) == corr
 
     def test_half(self):
         corr, a = brute_force_min(2)
         assert corr == Fraction(-1)
-        assert set(a.values) == {1, -1}
+        assert set(a.signs) == {"+", "-"}
 
     def test_matches_closed_form_exhaustively(self):
         for p, q in coprime_pairs(16):
@@ -204,7 +221,7 @@ class TestMixtureForTarget:
     def test_symmetric_mixture(self):
         model = mixture_for_target(Fraction(0), Fraction(-1), 4)
         assert model.components[0][0] == Fraction(1, 2)
-        assert model.correlation() == 0
+        assert mixture_correlation(model.components) == 0
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -213,7 +230,7 @@ class TestMixtureForTarget:
     def test_weight_formula(self):
         model = mixture_for_target(Fraction(-1, 2), Fraction(-3, 5), 5)
         assert model.components[0][0] == Fraction(15, 16)  # 1.5/1.6
-        assert model.correlation() == Fraction(-1, 2)
+        assert mixture_correlation(model.components) == Fraction(-1, 2)
 
     def test_exact_reproduction_and_valid_weights(self):
         rng = np.random.default_rng(3)
@@ -225,30 +242,25 @@ class TestMixtureForTarget:
                     mixture_for_target(target, m, q)
                 continue
             model = mixture_for_target(target, m, q)
-            assert model.correlation() == target
+            assert mixture_correlation(model.components) == target
             weights = [w for w, _ in model.components]
             assert all(0 <= w <= 1 for w in weights)
             assert sum(weights) == 1
 
-    def test_model_weight_validation(self):
-        a = uniform_assignment(3)
-        with pytest.raises(ValueError):
-            HiddenVariableModel(((Fraction(1, 2), a),))
-
 
 class TestMixtureRule:
     """mixture_for_target reproduces every target in [m, 1] and refuses
-    the rest through HiddenVariableModel's weight checks."""
+    the rest, where a weight would be negative."""
 
     def test_even_equality_reachable(self):
         model = mixture_for_target(Fraction(-1), Fraction(-1), 2)
-        assert model.correlation() == -1
+        assert mixture_correlation(model.components) == -1
 
     def test_positive_target_always_reachable(self):
         for p, q in [(2, 7), (3, 8), (1, 3), (1, 4)]:
             m = min_correlation(q)
             model = mixture_for_target(Fraction(1, 2), m, q)
-            assert model.correlation() == Fraction(1, 2)
+            assert mixture_correlation(model.components) == Fraction(1, 2)
 
     @given(
         pq=st.sampled_from(list(coprime_pairs(60))),
@@ -266,12 +278,12 @@ class TestMixtureRule:
                 mixture_for_target(target, m, q)
             return
         model = mixture_for_target(target, m, q)
-        assert model.correlation() == target
+        assert mixture_correlation(model.components) == target
         assert all(0 <= w <= 1 for w, _ in model.components)
 
     def test_witness_limit(self):
-        """Above WITNESS_Q_MAX the builder refuses before any assignment is
-        built."""
+        """Above WITNESS_Q_MAX mixture_for_target refuses before any
+        pattern is built."""
         q = WITNESS_Q_MAX + 1
         with pytest.raises(ValueError, match="witness limit"):
             mixture_for_target(Fraction(1, 2), min_correlation(q), q)
@@ -286,8 +298,8 @@ def test_continuum_integral_matches_cycle_correlation():
         # k-th step of 2*pi*p/q lands on arc k*p mod q, a bijection for
         # coprime p and q
         value_of_arc = [0] * q
-        for k in range(q):
-            value_of_arc[k * p % q] = a.values[k]
+        for k, v in enumerate(signs_values(a.signs)):
+            value_of_arc[k * p % q] = v
 
         def f(phi):
             j = int((phi % (2 * math.pi)) / (2 * math.pi) * q) % q

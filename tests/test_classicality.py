@@ -38,7 +38,7 @@ from contextant.spin_algebra import (
     minus_one_eigenprojector,
 )
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, mixture_correlation
 
 X = Direction(1.0, 0.0, 0.0)
 Y = Direction(0.0, 1.0, 0.0)
@@ -91,7 +91,7 @@ class TestDecidePairFamily:
             v = decide_pair_family(RationalAngle(p, q))
             if v.classical:
                 assert v.witness is not None
-                assert v.witness.correlation() == Fraction(v.g)
+                assert mixture_correlation(v.witness.components) == Fraction(v.g)
 
     def test_full_stack_equivalence_small_q(self):
         """Verdict agrees with the first-principles pipeline: quantum value
@@ -110,6 +110,18 @@ class TestDecidePairFamily:
             hv_min, _ = brute_force_min(q)
             # strict comparison, exact on the hidden-variable side
             assert (Fraction(v.g) < hv_min) == (not v.classical)
+
+    def test_classical_verdict_builds_no_cycle_assignment(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("CycleAssignment built")
+
+        monkeypatch.setattr(contextant.assignment_model.CycleAssignment,
+                            "__post_init__", refuse)
+        for p, q in [(1, 4), (1, 3), (1, 2), (50000, 199999)]:
+            v = decide_pair_family(RationalAngle(p, q))
+            assert v.classical
+            assert [s for _, s in v.witness.components] == [
+                "+-" * (q // 2) + "+" * (q % 2), "+" * q]
 
     def test_one_minimum_per_member_and_a_witness_only_if_classical(
             self, monkeypatch):
@@ -300,7 +312,7 @@ class TestConditionPThreshold:
         v = decide_pair_family(angle)
         assert v.g >= 0 or angle.q % 2 == 0
         assert v.classical and v.margin <= 0
-        assert v.witness.correlation() == Fraction(v.g)
+        assert mixture_correlation(v.witness.components) == Fraction(v.g)
 
 
 def enumerate_colorings(vset, mode):

@@ -308,6 +308,16 @@ class TestDiscontinuity:
         assert err.startswith("discontinuity: no even-denominator fraction within "
                               "1e-19 of 500000000/1000000001 with q' <= 1000; ")
 
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-323"])
+    def test_epsilon_rounding_to_a_zero_radius_rejected(self, epsilon, capsys):
+        # positive, but epsilon / (2 pi) rounds to 0.0
+        assert main(["discontinuity", "--p", "2", "--q", "5",
+                     "--epsilon", epsilon, "--q-max", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"discontinuity: --epsilon {epsilon} rounds to a radius of 0 "
+            "in delta/2pi\n")
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, epsilon):
         assert_usage_error(run_cli("discontinuity", "--p", "2", "--q", "5",

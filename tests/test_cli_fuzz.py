@@ -142,6 +142,8 @@ def run(argv, workdir: Path):
 @example(argv=["quantum-check", "--seed", "-5"])
 @example(argv=["verdict", "--theta", "nan"])
 @example(argv=["discontinuity", "--q", "5", "--p", "2", "--epsilon", "inf"])
+@example(argv=["discontinuity", "--p", "2", "--q", "5", "--epsilon", "5e-324",
+               "--q-max", "1000"])  # a radius that rounds to 0: exit 2
 @example(argv=["ks-color", ["0 0 0"]])
 # members whose step angle overflows a float: q itself, and 2*pi*p
 @example(argv=["verdict", "--p", str(2**1023), "--q", str(2**1024 + 1)])

@@ -15,6 +15,9 @@ print the same bytes:
   approximants) while every approximant still built its witness;
 - `scan --q-max 2000` CSV, as printed while every row still built its
   witness; 28 MB, so only its sha256 is kept;
+- `verdict --p 2500001 --q 10000000`, a witness at q = WITNESS_Q_MAX, as
+  printed while the witness was a mixture of two q-bit masks; 20 MB, so
+  only its sha256 is kept;
 - `scan --q-max 2000 --format json`, as printed while each element was
   the indented `json.dumps` of the row; 69 MB, so only its sha256 is
   kept;
@@ -113,6 +116,14 @@ def test_scan_qmax2000_json_matches_digest(capsys):
     assert (out.count(b"\n"), len(out)) == (3_041_412, 69_007_623)
     assert hashlib.sha256(out).hexdigest() == (
         "cd4731ede5810603c37f2e4397cf7b7ef6420a08e005a8010c64fcf1a9339849")
+
+
+def test_verdict_at_the_witness_limit_matches_digest(capsys):
+    assert main(["verdict", "--p", "2500001", "--q", "10000000"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (out.count(b"\n"), len(out)) == (7, 20_000_234)
+    assert hashlib.sha256(out).hexdigest() == (
+        "c5e38445218269c6446f876ac953a8c62cb6bebd9d81682e777823649feb43e0")
 
 
 # Peres' 33 rays, strict: UNSAT; without the last ray: SAT; a 10-ray subset
