@@ -9,7 +9,7 @@ denominator, and best rational approximation of a float angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 THETA_MIN = math.pi / 4
@@ -37,8 +37,7 @@ def delta_in_range(delta: float) -> bool:
     return DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(namedtuple("Direction", "x y z")):
     """Unit vector in R^3.
 
     The unit check accepts |d|^2 within 1e-12 of 1.  A vector made unit in
@@ -47,14 +46,13 @@ class Direction:
     columns); one rounded to 10 digits misses by about 3e-11 and is refused.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.x * self.x + self.y * self.y + self.z * self.z
+    def __new__(cls, x: float, y: float, z: float):
+        n = x * x + y * y + z * z
         if not abs(n - 1.0) <= 1e-12:  # a nan component fails too
             raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
+        return super().__new__(cls, x, y, z)
 
     def dot(self, other: "Direction") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -96,24 +94,19 @@ def g_of_delta(delta: float) -> float:
     return max(-1.0, min(1.0, (1.0 + 3.0 * c) / (1.0 - c)))
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class RationalAngle(namedtuple("RationalAngle", "p q")):
     """Step angle 2*pi*p/q with p, q coprime and p/q in [1/4, 1/2]."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+    def __new__(cls, p: int, q: int):
+        if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"p = {self.p} and q = {self.q} are not coprime")
-        if not self.q <= 4 * self.p <= 2 * self.q:
-            raise ValueError(f"p/q = {self.fraction} outside [1/4, 1/2]")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"p = {p} and q = {q} are not coprime")
+        if not q <= 4 * p <= 2 * q:
+            raise ValueError(f"p/q = {Fraction(p, q)} outside [1/4, 1/2]")
+        return super().__new__(cls, p, q)
 
     @property
     def delta(self) -> float:

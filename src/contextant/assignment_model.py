@@ -12,7 +12,6 @@ quantum interface.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import min_cycle_sum
@@ -36,8 +35,7 @@ def _rot1(mask: int, q: int) -> int:
     return (mask >> 1) | ((mask & 1) << (q - 1))
 
 
-@dataclass(frozen=True)
-class CycleAssignment:
+class CycleAssignment(namedtuple("CycleAssignment", "q mask")):
     """+-1 outcomes along the step-orbit cycle, stored as a q-bit mask.
 
     Bit k of mask set means outcome -1 on cycle position k (the encoding of
@@ -45,20 +43,18 @@ class CycleAssignment:
     they can never both be -1.
     """
 
-    q: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __new__(cls, q: int, mask: int):
+        if q < 1:
             raise ValueError("assignment must be nonempty")
-        if not 0 <= self.mask < 1 << self.q:
-            raise ValueError(f"mask must lie in [0, 2^{self.q})")
-        clash = self.mask & _rot1(self.mask, self.q)
+        if not 0 <= mask < 1 << q:
+            raise ValueError(f"mask must lie in [0, 2^{q})")
+        clash = mask & _rot1(mask, q)
         if clash:
             k = (clash & -clash).bit_length() - 1
-            raise ExclusivityError(
-                f"positions {k} and {(k + 1) % self.q} are both -1"
-            )
+            raise ExclusivityError(f"positions {k} and {(k + 1) % q} are both -1")
+        return super().__new__(cls, q, mask)
 
     @property
     def signs(self) -> str:

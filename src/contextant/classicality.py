@@ -5,7 +5,7 @@ search."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .angle_family import (
@@ -14,7 +14,7 @@ from .angle_family import (
     g_of_delta,
     theta_of_delta,
 )
-from .assignment_model import Mixture, min_correlation, mixture_for_target
+from .assignment_model import min_correlation, mixture_for_target
 
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
@@ -22,14 +22,15 @@ COUNT_CAP = 20
 # to it 524,288, COUNT_CAP lone vectors 20; using it all up takes 7-9 s (README).
 KS_STEP_BUDGET = 1_000_000
 # Dot products plus triple-candidate checks of VectorSet: 5,000 vectors
-# without an orthogonal pair take 12,497,500, about 2.5 s on a 2-vCPU Xeon.
+# without an orthogonal pair take 12,497,500, 1.9-2.1 s on a 2-vCPU Xeon.
 VECTORSET_BUDGET = 15_000_000
 
 VERDICT = ("Nonclassical", "Classical")  # indexed by the classical flag
 
 
-@dataclass(frozen=True)
-class ClassicalityVerdict:
+class ClassicalityVerdict(namedtuple(
+        "ClassicalityVerdict",
+        "classical margin theta delta g min_corr angle witness")):
     """Outcome of the hidden-variable decision for the member angle.
 
     min_corr is the exact classical minimum of the member's parity class.
@@ -43,14 +44,7 @@ class ClassicalityVerdict:
     g < min_corr.  The margin is positive iff nonclassical.
     """
 
-    classical: bool
-    margin: float
-    theta: float
-    delta: float
-    g: float
-    min_corr: Fraction
-    angle: RationalAngle
-    witness: Mixture | None
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -179,7 +173,6 @@ def dot_products(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass
 class VectorSet:
     """Directions with their orthogonality structure.
 
@@ -193,21 +186,25 @@ class VectorSet:
     the pairs outgrow it and before any triple is listed.
     """
 
-    vectors: list[Direction]
-    pairs: list[tuple[int, int]] = field(init=False)
-    triples: list[tuple[int, int, int]] = field(init=False)
+    def __init__(self, vectors: list[Direction]):
+        self.vectors = vectors
+        self.__post_init__()
 
     def __post_init__(self):
-        n = len(self.vectors)
+        """Derive pairs and triples; the benchmark's span wraps this name."""
+        vectors = self.vectors
+        n = len(vectors)
         work = dot_products(n)
         self.pairs = []
         # row n - 1 has no pair, so checking at the top of each row suffices
-        for i in range(n):
+        for i, (ux, uy, uz) in enumerate(vectors):
             if work > VECTORSET_BUDGET:
                 raise ValueError(f"vector set needs more than {VECTORSET_BUDGET} "
                                  "dot products and triple checks")
-            for j in range(i + 1, n):
-                if abs(self.vectors[i].dot(self.vectors[j])) < ORTHO_TOL:
+            # Direction.dot's sum, in its order, on unpacked coordinates:
+            # reading each namedtuple field by name costs more per pair
+            for j, (vx, vy, vz) in enumerate(vectors[i + 1:], i + 1):
+                if abs(ux * vx + uy * vy + uz * vz) < ORTHO_TOL:
                     work += n - j - 1
                     self.pairs.append((i, j))
         pairset = set(self.pairs)
@@ -219,11 +216,9 @@ class VectorSet:
         ]
 
 
-@dataclass(frozen=True)
-class ColorabilityResult:
-    satisfiable: bool
-    coloring: tuple[int, ...] | None  # +-1 per vector; -1 = singled out
-    count: int | None  # None when the set exceeds the counting cap
+# coloring: +-1 per vector, -1 = singled out, or None when unsatisfiable;
+# count: None when the set exceeds the counting cap
+ColorabilityResult = namedtuple("ColorabilityResult", "satisfiable coloring count")
 
 
 def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:

@@ -131,7 +131,10 @@ def _vector_file(path: str) -> list[Direction]:
                         f"line {lineno}: need three finite reals with a "
                         f"nonzero norm, got {line.strip()!r}"
                     )
-                vecs.append(Direction(*(c / n for c in xyz)))
+                # hypot loses bits on subnormal input: scale to max |c| = 1 first
+                big = max(map(abs, xyz))
+                n = math.hypot(*(c / big for c in xyz))
+                vecs.append(Direction(*(c / big / n for c in xyz)))
                 if dot_products(len(vecs)) > VECTORSET_BUDGET:
                     break
     except (OSError, ValueError) as e:

@@ -112,11 +112,11 @@ class TestDecidePairFamily:
             assert (Fraction(v.g) < hv_min) == (not v.classical)
 
     def test_classical_verdict_builds_no_cycle_assignment(self, monkeypatch):
-        def refuse(self):
+        def refuse(cls, *args):
             raise AssertionError("CycleAssignment built")
 
         monkeypatch.setattr(contextant.assignment_model.CycleAssignment,
-                            "__post_init__", refuse)
+                            "__new__", refuse)
         for p, q in [(1, 4), (1, 3), (1, 2), (50000, 199999)]:
             v = decide_pair_family(RationalAngle(p, q))
             assert v.classical
@@ -149,7 +149,7 @@ class TestDecidePairFamily:
 
 def linear_scan_neighbor(angle, eps_frac, q_max):
     """Reference: the full ascending scan over every even q' <= q_max."""
-    x = angle.fraction
+    x = Fraction(angle.p, angle.q)
     best_dist: Fraction | None = None
     for q2 in range(2, q_max + 1, 2):
         for p2 in (math.floor(x * q2), math.ceil(x * q2)):
@@ -308,7 +308,7 @@ class TestConditionPThreshold:
     def test_even_q_or_nonnegative_g_is_classical(self, angle):
         # delta/2pi below acos(-1/3)/2pi, the theta = pi/3 boundary, gives g >= 0
         assume(angle.q % 2 == 0
-               or angle.fraction < math.acos(-1 / 3) / (2 * math.pi))
+               or Fraction(angle.p, angle.q) < math.acos(-1 / 3) / (2 * math.pi))
         v = decide_pair_family(angle)
         assert v.g >= 0 or angle.q % 2 == 0
         assert v.classical and v.margin <= 0
@@ -534,3 +534,17 @@ class TestKsColorability:
             res = ks_colorability(vset, "strict")
             assert res == backtracking_colorability(vset, "strict"), drop
             assert res.satisfiable == (drop is not None)
+
+
+@pytest.mark.parametrize("record, field", [
+    (RationalAngle(2, 5), "p"),
+    (Direction(1.0, 0.0, 0.0), "x"),
+    (contextant.assignment_model.CycleAssignment(5, 0b01010), "mask"),
+    (decide_pair_family(RationalAngle(2, 5)), "classical"),
+    (ColorabilityResult(True, (1,), 2), "count"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_records_are_immutable(record, field):
+    # a record holds no field setter and takes no new attribute
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

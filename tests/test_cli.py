@@ -416,6 +416,19 @@ class TestKsColor:
         assert capsys.readouterr() == (
             "vectors: 3  orthogonal pairs: 3  triples: 1\nSAT (++-)\ncolorings: 3\n", "")
 
+    @pytest.mark.parametrize("text, out", [
+        ("1e-320 1e-320 0\n0 0 1\n",
+         "vectors: 2  orthogonal pairs: 1  triples: 0\nSAT (++)\ncolorings: 3\n"),
+        ("5e-324 5e-324 5e-324\n",
+         "vectors: 1  orthogonal pairs: 0  triples: 0\nSAT (+)\ncolorings: 2\n"),
+    ])
+    def test_subnormal_components_are_scaled(self, tmp_path, capsys, text, out):
+        # math.hypot loses bits on subnormal components: |d|^2 came out 0.75
+        f = tmp_path / "vecs.txt"
+        f.write_text(text)
+        assert main(["ks-color", str(f)]) == 0
+        assert capsys.readouterr() == (out, "")
+
 
 @pytest.mark.parametrize("argv, built", [
     (["verdict", "--theta", "0.9553156690398642", "--q-max", "1000"], []),
@@ -427,13 +440,13 @@ def test_a_member_is_built_only_where_it_is_certified(argv, built, monkeypatch,
     """Batch paths pass (p, q) as integers; a RationalAngle is built only
     for a member from the command line or for an exact tie."""
     made = []
-    check = angle_family.RationalAngle.__post_init__
+    check = angle_family.RationalAngle.__new__
 
-    def counting(self):
-        made.append((self.p, self.q))
-        check(self)
+    def counting(cls, p, q):
+        made.append((p, q))
+        return check(cls, p, q)
 
-    monkeypatch.setattr(angle_family.RationalAngle, "__post_init__", counting)
+    monkeypatch.setattr(angle_family.RationalAngle, "__new__", counting)
     assert main(argv) == 0
     capsys.readouterr()
     assert made == built

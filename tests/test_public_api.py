@@ -1,4 +1,5 @@
-"""The package runs without numpy: only the tests need it."""
+"""The package runs without numpy, which only the tests need, and without
+dataclasses: its records are namedtuples."""
 
 import subprocess
 import sys
@@ -9,6 +10,9 @@ PERES33 = Path(__file__).parent / "data" / "peres33.txt"
 # the console-script commands that CI runs in an install without extras
 CONSOLE_ARGVS = [
     ["verdict", "--p", "2", "--q", "5"],
+    ["verdict", "--p", "1", "--q", "3"],
+    ["verdict", "--p", "1", "--q", "4"],
+    ["verdict", "--p", "50000", "--q", "199999"],
     ["verdict", "--theta", "0.9", "--q-max", "100"],
     ["oracle", "--p", "10", "--q", "21"],
     ["quantum-check", "--samples", "200", "--seed", "42"],
@@ -20,9 +24,9 @@ CONSOLE_ARGVS = [
 ]
 
 
-def test_console_commands_run_without_numpy():
-    # a None entry in sys.modules makes every `import numpy` raise ImportError
-    code = ("import sys; sys.modules['numpy'] = None\n"
+def test_console_commands_run_without_numpy_or_dataclasses():
+    # a None entry in sys.modules makes every import of that name raise ImportError
+    code = ("import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
             "from contextant.cli import main\n"
             f"print([main(argv) for argv in {CONSOLE_ARGVS!r}], file=sys.stderr)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -64,8 +64,10 @@ def random_orthonormal_triple(rng=RNG):
 class Unchecked(Direction):
     """A Direction without the unit check, to reach the guards behind it."""
 
-    def __post_init__(self):
-        pass
+    __slots__ = ()
+
+    def __new__(cls, x, y, z):
+        return tuple.__new__(cls, (x, y, z))
 
 
 NAN = Unchecked(math.nan, 0.0, 0.0)
