@@ -30,7 +30,8 @@ print the same bytes:
   Python 3.10, 3.11 and 3.12), and for seeds 0-9 at 200 samples, kept
   only by sha256.  Seed 42 alone misses changes in the last bits of the
   directions: in the earlier S_z-basis algebra, normalising them with
-  `math.hypot` left it unchanged but moved 9 of the 10 digests.
+  `math.hypot` left it unchanged but moved 9 of the 10 digests; and at
+  the --samples cap for seed 1, also kept only by sha256.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from contextant.cli import main
+from contextant.cli import QUANTUM_SAMPLES_MAX, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,3 +170,17 @@ def test_quantum_check_matches_digest(seed, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         QUANTUM_CHECK_200_SHA256[seed]), out
+
+
+# sha256 of `quantum-check --samples 100000 --seed 1` stdout, at the cap: its
+# maxima run over 500 times as many residuals as at 200 samples
+QUANTUM_CHECK_CAP_SHA256 = (
+    "9d19b54b02e6f2335772268424844c733afd1ab4ebf35d4c285604422db77911")
+
+
+def test_quantum_check_at_the_cap_matches_digest(capsys):
+    assert main(["quantum-check", "--samples", str(QUANTUM_SAMPLES_MAX),
+                 "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        QUANTUM_CHECK_CAP_SHA256), out

@@ -16,6 +16,7 @@ CONSOLE_ARGVS = [
     ["verdict", "--theta", "0.9", "--q-max", "100"],
     ["oracle", "--p", "10", "--q", "21"],
     ["quantum-check", "--samples", "200", "--seed", "42"],
+    ["quantum-check", "--samples", "100000", "--seed", "1"],
     ["scan", "--q-max", "300"],
     ["scan", "--q-max", "300", "--format", "json"],
     ["discontinuity", "--p", "3", "--q", "7", "--epsilon", "0.0006283185307179586",
