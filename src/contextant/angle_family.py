@@ -37,10 +37,14 @@ def delta_in_range(delta: float) -> bool:
     return DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS
 
 
+# Direction's unit check: the largest | |d|^2 - 1 | it accepts
+UNIT_TOL = 1e-12
+
+
 class Direction(namedtuple("Direction", "x y z")):
     """Unit vector in R^3.
 
-    The unit check accepts |d|^2 within 1e-12 of 1.  A vector made unit in
+    The unit check accepts |d|^2 within UNIT_TOL = 1e-12 of 1.  A vector made unit in
     floats misses 1 by at most 8.9e-16 (10^5 samples each from angles, from
     division by its hypot norm and from quantum-check's Euler-Rodrigues
     columns); one rounded to 10 digits misses by about 3e-11 and is refused.
@@ -50,7 +54,7 @@ class Direction(namedtuple("Direction", "x y z")):
 
     def __new__(cls, x: float, y: float, z: float):
         n = x * x + y * y + z * z
-        if not abs(n - 1.0) <= 1e-12:  # a nan component fails too
+        if not abs(n - 1.0) <= UNIT_TOL:  # a nan component fails too
             raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
         return super().__new__(cls, x, y, z)
 

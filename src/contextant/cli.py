@@ -40,9 +40,8 @@ from .classicality import (
 from .spin_algebra import (
     dichotomic,
     direction_from_angles,
-    expectation,
-    matmul,
     minus_one_eigenprojector,
+    pair_product_check,
     triple_product_check,
 )
 
@@ -58,8 +57,8 @@ CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
 # approximant list, not only its search, grows with q_max.
 THETA_Q_MAX = 1_000_000
 
-# quantum-check's largest --samples (about 3 s of operator algebra) and its
-# residual tolerances.  Float rounding leaves residuals below 5e-15 (10^5
+# quantum-check's largest --samples (0.6-0.8 s end to end on a shared 2-vCPU
+# VM) and its residual tolerances.  Float rounding leaves residuals below 5e-15 (10^5
 # samples, seeds 0 and 1); each comment says what reaches the bound.
 QUANTUM_SAMPLES_MAX = 100_000
 QUANTUM_COMM_TOL = 1e-12  # a pair 1.8e-13 off orthogonal: 4 sqrt(2) |u.v|
@@ -275,28 +274,28 @@ def cmd_oracle(args) -> None:
 def _orthonormal_triple(rng: random.Random) -> list[Direction]:
     """The columns of the rotation of a Gaussian quaternion (Euler-Rodrigues)
     over their norm n: an orthonormal triple, uniform over rotations."""
-    a, b, c, d = (rng.gauss(0.0, 1.0) for _ in range(4))
+    gauss = rng.gauss
+    a, b, c, d = gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0)
     n = a * a + b * b + c * c + d * d
     cols = ((a * a + b * b - c * c - d * d, 2 * (b * c + a * d), 2 * (b * d - a * c)),
             (2 * (b * c - a * d), a * a - b * b + c * c - d * d, 2 * (c * d + a * b)),
             (2 * (b * d + a * c), 2 * (c * d - a * b), a * a - b * b - c * c + d * d))
-    return [Direction(*(x / n for x in col)) for col in cols]
+    return [Direction(x / n, y / n, z / n) for x, y, z in cols]
 
 
 def cmd_quantum_check(args) -> None:
     rng = random.Random(args.seed)
-    rho = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
+    # the m = 0 state e_z as a projector, checked to be a density matrix: it
+    # is exactly diag(0, 0, 1), so the state's Tr(rho A_u A_v) is entry [2][2]
+    # of the product, the correlation that pair_product_check returns
+    minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
     comm, g_res = [], []
     for _ in range(args.samples):
         theta = rng.uniform(math.pi / 4, math.pi / 2)
         phi = rng.uniform(0.0, 2 * math.pi)
-        a = dichotomic(direction_from_angles(theta, phi))
-        b = dichotomic(direction_from_angles(theta, phi + delta_of_theta(theta)))
-        # a and b are exactly symmetric, so ba is the transpose of ab: the
-        # same products summed in the same order as commutator_norm's
-        ab = matmul(a, b)
-        comm.append(math.dist(ab, ab[0::3] + ab[1::3] + ab[2::3]))
-        g_res.append(abs(expectation(rho, ab) - g_of_theta(theta)))
+        norm, corr = pair_product_check(theta, phi, delta_of_theta(theta))
+        comm.append(norm)
+        g_res.append(abs(corr - g_of_theta(theta)))
     n_triples = min(args.samples, 100)
     triples = [triple_product_check(*_orthonormal_triple(rng))
                for _ in range(n_triples)]

@@ -4,13 +4,19 @@ There (S_k)_ij = -i eps_kij, so (d.S)^2 = |d|^2 I - d d^T, and for a unit
 direction d the dichotomic observable 2 (d.S)^2 - I is the reflection
 I - 2 d d^T.  The m = 0 state along z is e_z.  A matrix is a tuple of nine
 floats in row-major order, so math.dist gives the Frobenius norm of a - b.
+
+quantum-check takes the two routes written out entry by entry on unpacked
+coordinates, pair_product_check and triple_product_check.  They compute the
+sums of the helper chain direction_from_angles, dichotomic, matmul,
+math.dist and expectation, in its order, and skip only its exact zeros, so
+their results equal the chain's bit for bit; the chain is their test oracle.
 """
 
 from __future__ import annotations
 
 import math
 
-from .angle_family import Direction
+from .angle_family import UNIT_TOL, Direction
 
 Matrix = tuple[float, ...]
 
@@ -66,8 +72,8 @@ def commutator_norm(a: Matrix, b: Matrix) -> float:
 def expectation(rho: Matrix, a: Matrix) -> float:
     """Tr(rho a), the math.fsum of its nine products rho_ij a_ji.
 
-    A product of observables is one only when its factors commute; the
-    caller checks that (quantum-check reports their commutator norm).
+    For rho = e_z e_z^T, exactly diag(0, 0, 1), this is a[8]: the
+    correlation that pair_product_check returns.
     """
     return math.fsum(rho[3 * i + j] * a[3 * j + i]
                      for i in range(3) for j in range(3))
@@ -89,11 +95,71 @@ def minus_one_eigenprojector(a: Matrix) -> Matrix:
     return tuple((e - x) / 2.0 for e, x in zip(IDENTITY, a))
 
 
+def pair_product_check(theta: float, phi: float, delta: float) -> tuple[float, float]:
+    """(|[A_u, A_v]|_F, <e_z, A_u A_v e_z>) for u and v the directions at
+    tilt theta and azimuths phi and phi + delta.
+
+    u and v pass Direction's unit check.  Both reflections are exactly
+    symmetric and share their entry [2][2], so six entries of each are read;
+    [A_u, A_v] = P - P^T for P = A_u A_v, so the norm is math.hypot of P's
+    six off-diagonal differences in math.dist's order, the diagonal's exact
+    zeros left out.  The correlation is P[2][2], Tr(rho P) for rho = e_z e_z^T.
+    """
+    st = math.sin(theta)
+    z = math.cos(theta)
+    x, y = math.cos(phi) * st, math.sin(phi) * st
+    phi += delta
+    u, v = math.cos(phi) * st, math.sin(phi) * st
+    for n in (x * x + y * y + z * z, u * u + v * v + z * z):
+        if not abs(n - 1.0) <= UNIT_TOL:  # a nan component fails too
+            raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
+    # dichotomic's entries, 0 - t as there
+    a0, a1, a2 = 1 - 2.0 * x * x, 0 - 2.0 * x * y, 0 - 2.0 * x * z
+    a4, a5, c8 = 1 - 2.0 * y * y, 0 - 2.0 * y * z, 1 - 2.0 * z * z
+    b0, b1, b2 = 1 - 2.0 * u * u, 0 - 2.0 * u * v, 0 - 2.0 * u * z
+    b4, b5 = 1 - 2.0 * v * v, 0 - 2.0 * v * z
+    # P[i][j] - P[j][i], each entry summed as matmul sums it
+    d01 = (a0 * b1 + a1 * b4 + a2 * b5) - (a1 * b0 + a4 * b1 + a5 * b2)
+    d02 = (a0 * b2 + a1 * b5 + a2 * c8) - (a2 * b0 + a5 * b1 + c8 * b2)
+    d12 = (a1 * b2 + a4 * b5 + a5 * c8) - (a2 * b1 + a5 * b4 + c8 * b5)
+    return (math.hypot(d01, d02, d01, d12, d02, d12),
+            a2 * b2 + a5 * b5 + c8 * c8)
+
+
 def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:
-    """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple."""
-    for u, v in ((k, l), (k, m), (l, m)):
-        d = abs(u.dot(v))
+    """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple.
+
+    Each factor is exactly symmetric, so six entries of each are read; the
+    products are summed as matmul sums them, and the residual is
+    math.dist(A_k A_l A_m, -I) bit for bit.
+    """
+    kx, ky, kz = k
+    lx, ly, lz = l
+    mx, my, mz = m
+    # Direction.dot of (k, l), (k, m) and (l, m)
+    for d in (kx * lx + ky * ly + kz * lz, kx * mx + ky * my + kz * mz,
+              lx * mx + ly * my + lz * mz):
+        d = abs(d)
         if not d <= COMPAT_TOL:
             raise ValueError(f"directions not orthogonal (|dot| = {d:.3e})")
-    prod = matmul(matmul(dichotomic(k), dichotomic(l)), dichotomic(m))
-    return math.dist(prod, _MINUS_IDENTITY)
+    a0, a1, a2 = 1 - 2.0 * kx * kx, 0 - 2.0 * kx * ky, 0 - 2.0 * kx * kz
+    a4, a5, a8 = 1 - 2.0 * ky * ky, 0 - 2.0 * ky * kz, 1 - 2.0 * kz * kz
+    b0, b1, b2 = 1 - 2.0 * lx * lx, 0 - 2.0 * lx * ly, 0 - 2.0 * lx * lz
+    b4, b5, b8 = 1 - 2.0 * ly * ly, 0 - 2.0 * ly * lz, 1 - 2.0 * lz * lz
+    c0, c1, c2 = 1 - 2.0 * mx * mx, 0 - 2.0 * mx * my, 0 - 2.0 * mx * mz
+    c4, c5, c8 = 1 - 2.0 * my * my, 0 - 2.0 * my * mz, 1 - 2.0 * mz * mz
+    # P = A_k A_l
+    p0, p1, p2 = (a0 * b0 + a1 * b1 + a2 * b2, a0 * b1 + a1 * b4 + a2 * b5,
+                  a0 * b2 + a1 * b5 + a2 * b8)
+    p3, p4, p5 = (a1 * b0 + a4 * b1 + a5 * b2, a1 * b1 + a4 * b4 + a5 * b5,
+                  a1 * b2 + a4 * b5 + a5 * b8)
+    p6, p7, p8 = (a2 * b0 + a5 * b1 + a8 * b2, a2 * b1 + a5 * b4 + a8 * b5,
+                  a2 * b2 + a5 * b5 + a8 * b8)
+    # P A_m - (-I), each entry minus -1.0 or +0.0 as math.dist subtracts it
+    return math.hypot(
+        p0 * c0 + p1 * c1 + p2 * c2 + 1.0, p0 * c1 + p1 * c4 + p2 * c5,
+        p0 * c2 + p1 * c5 + p2 * c8,
+        p3 * c0 + p4 * c1 + p5 * c2, p3 * c1 + p4 * c4 + p5 * c5 + 1.0,
+        p3 * c2 + p4 * c5 + p5 * c8,
+        p6 * c0 + p7 * c1 + p8 * c2, p6 * c1 + p7 * c4 + p8 * c5,
+        p6 * c2 + p7 * c5 + p8 * c8 + 1.0)

@@ -1,11 +1,17 @@
 """Tests of the Cartesian spin-1 algebra against an independent oracle:
-the spin-1 matrices in the S_z eigenbasis, built here with numpy."""
+the spin-1 matrices in the S_z eigenbasis, built here with numpy; and of
+quantum-check's written-out routes, pair_product_check and
+triple_product_check, against the helper chain they replace, bit for bit."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextant import cli
 from contextant.angle_family import delta_of_theta, g_of_theta
 from contextant.spin_algebra import (
     COMPAT_TOL,
@@ -17,6 +23,7 @@ from contextant.spin_algebra import (
     expectation,
     matmul,
     minus_one_eigenprojector,
+    pair_product_check,
     triple_product_check,
 )
 
@@ -302,3 +309,106 @@ def test_fixed_state_correlation_equals_g_on_grid():
         b = dichotomic(direction_from_angles(theta, delta))
         assert commutator_norm(a, b) <= COMPAT_TOL
         assert abs(expectation(rho, matmul(a, b)) - g_of_theta(theta)) < 1e-12
+
+
+# The helper chain that quantum-check computed its residuals with before the
+# routes were written out: the oracle of the bit-for-bit tests below.
+M0_STATE = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
+MINUS_IDENTITY = tuple(-x for x in IDENTITY)
+
+
+def chain_pair(theta, phi, delta):
+    a = dichotomic(direction_from_angles(theta, phi))
+    b = dichotomic(direction_from_angles(theta, phi + delta))
+    return commutator_norm(a, b), expectation(M0_STATE, matmul(a, b))
+
+
+def chain_triple(k, l, m):
+    return math.dist(matmul(matmul(dichotomic(k), dichotomic(l)), dichotomic(m)),
+                     MINUS_IDENTITY)
+
+
+def bits(xs):
+    """The floats of xs by their bits: -0.0 and 0.0 differ, nan equals nan."""
+    return [float(x).hex() for x in xs]
+
+
+angles = st.floats(-10.0, 10.0)
+
+
+class TestWrittenOutRoutes:
+    @settings(max_examples=500, deadline=None)
+    @given(theta=angles, phi=angles, delta=angles)
+    def test_pair_equals_the_helper_chain(self, theta, phi, delta):
+        # the route reads only symmetry and the shared tilt, not
+        # orthogonality, so any step must give the chain's bits
+        assert bits(pair_product_check(theta, phi, delta)) == bits(
+            chain_pair(theta, phi, delta))
+
+    @settings(max_examples=500, deadline=None)
+    @given(theta=st.floats(math.pi / 4, math.pi / 2), phi=st.floats(0.0, 2 * math.pi))
+    def test_pair_equals_the_helper_chain_on_the_family(self, theta, phi):
+        delta = delta_of_theta(theta)
+        assert bits(pair_product_check(theta, phi, delta)) == bits(
+            chain_pair(theta, phi, delta))
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**64), order=st.permutations(range(3)),
+           signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+    def test_triple_equals_the_helper_chain(self, seed, order, signs):
+        # Euler-Rodrigues columns as quantum-check draws them, in any order
+        # and with any signs
+        cols = cli._orthonormal_triple(random.Random(seed))
+        k, l, m = (Direction(*(s * x for x in cols[i])) for s, i in zip(signs, order))
+        assert bits([triple_product_check(k, l, m)]) == bits([chain_triple(k, l, m)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=9, max_size=9))
+    def test_the_m0_state_reads_entry_8(self, entries):
+        # quantum-check builds this state and reads Tr(rho X) as X[8]
+        assert M0_STATE == (0.0,) * 8 + (1.0,)
+        x = tuple(entries)
+        assert expectation(M0_STATE, x) == x[8]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quantum_check_residuals_equal_the_helper_chain(self, seed, monkeypatch, capsys):
+        # record what quantum-check computes through its routes ...
+        pairs, triples = [], []
+
+        def pair(*args):
+            pairs.append((args[0], pair_product_check(*args)))
+            return pairs[-1][1]
+
+        def triple(*args):
+            triples.append(triple_product_check(*args))
+            return triples[-1]
+
+        monkeypatch.setattr(cli, "pair_product_check", pair)
+        monkeypatch.setattr(cli, "triple_product_check", triple)
+        samples = 20_000
+        assert cli.main(["quantum-check", "--samples", str(samples),
+                         "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        comm = [norm for _, (norm, _) in pairs]
+        g_res = [abs(corr - g_of_theta(theta)) for theta, (_, corr) in pairs]
+        # ... and the residual lists of the helper chain on the same draws
+        rng = random.Random(seed)
+        oracle_comm, oracle_g = [], []
+        for _ in range(samples):
+            theta = rng.uniform(math.pi / 4, math.pi / 2)
+            phi = rng.uniform(0.0, 2 * math.pi)
+            norm, corr = chain_pair(theta, phi, delta_of_theta(theta))
+            oracle_comm.append(norm)
+            oracle_g.append(abs(corr - g_of_theta(theta)))
+        oracle_triples = [chain_triple(*cli._orthonormal_triple(rng)) for _ in range(100)]
+        assert bits(comm) == bits(oracle_comm)
+        assert bits(g_res) == bits(oracle_g)
+        assert bits(triples) == bits(oracle_triples)
+
+    def test_nan_step_fails_the_unit_check(self, monkeypatch):
+        with pytest.raises(ValueError, match="direction must be unit length"):
+            pair_product_check(1.0, 0.0, math.nan)
+        monkeypatch.setattr(cli, "delta_of_theta", lambda theta: math.nan)
+        with pytest.raises(ValueError, match="direction must be unit length"):
+            cli.main(["quantum-check", "--samples", "5"])
