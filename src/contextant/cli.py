@@ -124,14 +124,15 @@ def _vector_file(path: str) -> list[Direction]:
                     xyz = [float(c) for c in line.split()]
                 except ValueError:
                     xyz = []  # not three reals: reported below
-                n = math.hypot(*xyz)
-                if len(xyz) != 3 or not 0 < n < math.inf:
+                finite = len(xyz) == 3 and all(map(math.isfinite, xyz))
+                big = max(map(abs, xyz)) if finite else 0.0
+                if not big:
                     raise ValueError(
                         f"line {lineno}: need three finite reals with a "
                         f"nonzero norm, got {line.strip()!r}"
                     )
-                # hypot loses bits on subnormal input: scale to max |c| = 1 first
-                big = max(map(abs, xyz))
+                # hypot loses bits on subnormal input, and overflows where the
+                # norm exceeds the largest float: scale to max |c| = 1 first
                 n = math.hypot(*(c / big for c in xyz))
                 vecs.append(Direction(*(c / big / n for c in xyz)))
                 if dot_products(len(vecs)) > VECTORSET_BUDGET:

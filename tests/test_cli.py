@@ -399,6 +399,14 @@ class TestKsColor:
         f.write_text("nan 0 1\n")
         assert_usage_error(run_cli("ks-color", str(f)), "line 1")
 
+    @pytest.mark.parametrize("line", ["inf 0 0", "0 -inf 1e308", "1e308 1e308 nan",
+                                      "-0.0 0 0"])
+    def test_nonfinite_or_zero_line_names_its_line(self, tmp_path, line):
+        f = tmp_path / "vecs.txt"
+        f.write_text(f"1 0 0\n{line}\n")
+        assert_usage_error(run_cli("ks-color", str(f)),
+                           f"line 2: need three finite reals with a nonzero norm, got {line!r}")
+
     @pytest.mark.parametrize("line", ["x 0 0", "0 1 0 extra"])
     def test_non_numeric_component_names_its_line(self, tmp_path, line):
         f = tmp_path / "vecs.txt"
@@ -412,6 +420,14 @@ class TestKsColor:
         # the sum of squares would underflow to 0 or overflow to inf
         f = tmp_path / "vecs.txt"
         f.write_text(f"{scale} 0 0\n0 {scale} 0\n0 0 -{scale}\n")
+        assert main(["ks-color", str(f)]) == 0
+        assert capsys.readouterr() == (
+            "vectors: 3  orthogonal pairs: 3  triples: 1\nSAT (++-)\ncolorings: 3\n", "")
+
+    def test_components_whose_norm_overflows_are_scaled(self, tmp_path, capsys):
+        # finite components whose hypot is inf
+        f = tmp_path / "vecs.txt"
+        f.write_text("1.7e308 1.7e308 0\n-1.7e308 1.7e308 0\n0 0 1.7e308\n")
         assert main(["ks-color", str(f)]) == 0
         assert capsys.readouterr() == (
             "vectors: 3  orthogonal pairs: 3  triples: 1\nSAT (++-)\ncolorings: 3\n", "")

@@ -103,9 +103,12 @@ discontinuity = command(
                "--q-max": text(at_least(2, 10**6, -1))}),
 )
 
-# ks-color reads a file: its lines are drawn here and written by the test
+# ks-color reads a file: its lines are drawn here and written by the test;
+# the extreme finite components are the largest and smallest floats and ones
+# whose norm overflows or whose squares underflow
 vector_line = st.one_of(
-    st.lists(st.sampled_from(["1", "0", "-1", "0.5", "nan", "inf", "x"]),
+    st.lists(st.sampled_from(["1", "0", "-1", "0.5", "nan", "inf", "x", "1.7e308",
+                              "-1.7976931348623157e308", "5e-324", "-1e-310"]),
              min_size=0, max_size=4).map(" ".join),
     st.sampled_from(["1 0 0", "0 1 0", "0 0 1", "1 1 0", "1 -1 0"]))
 ks_color = command(
@@ -145,6 +148,7 @@ def run(argv, workdir: Path):
 @example(argv=["discontinuity", "--p", "2", "--q", "5", "--epsilon", "5e-324",
                "--q-max", "1000"])  # a radius that rounds to 0: exit 2
 @example(argv=["ks-color", ["0 0 0"]])
+@example(argv=["ks-color", ["1.7e308 1.7e308 0", "5e-324 -5e-324 0", "0 0 -1e-310"]])
 # members whose step angle overflows a float: q itself, and 2*pi*p
 @example(argv=["verdict", "--p", str(2**1023), "--q", str(2**1024 + 1)])
 @example(argv=["discontinuity", "--p", str(3 * 10**307), "--q", str(6 * 10**307 + 1),
