@@ -44,10 +44,11 @@ UNIT_TOL = 1e-12
 class Direction(namedtuple("Direction", "x y z")):
     """Unit vector in R^3.
 
-    The unit check accepts |d|^2 within UNIT_TOL = 1e-12 of 1.  A vector made unit in
-    floats misses 1 by at most 8.9e-16 (10^5 samples each from angles, from
-    division by its hypot norm and from quantum-check's Euler-Rodrigues
-    columns); one rounded to 10 digits misses by about 3e-11 and is refused.
+    The unit check accepts |d|^2 within UNIT_TOL = 1e-12 of 1.  A vector
+    made unit in floats misses 1 by at most 8.9e-16 (10^5 samples each from
+    angles, from division by its hypot norm and from quantum-check's
+    Euler-Rodrigues columns); one rounded to 10 digits misses by about
+    3e-11 and is refused.
     """
 
     __slots__ = ()

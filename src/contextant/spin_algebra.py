@@ -27,7 +27,6 @@ Matrix = tuple[float, ...]
 COMPAT_TOL = 1e-10
 
 IDENTITY: Matrix = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-_MINUS_IDENTITY: Matrix = (-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0)
 
 
 def direction_from_angles(theta: float, phi: float) -> Direction:
@@ -108,7 +107,7 @@ def pair_product_check(theta: float, phi: float, delta: float) -> tuple[float, f
     st = math.sin(theta)
     z = math.cos(theta)
     x, y = math.cos(phi) * st, math.sin(phi) * st
-    phi += delta
+    phi += delta  # v's azimuth
     u, v = math.cos(phi) * st, math.sin(phi) * st
     for n in (x * x + y * y + z * z, u * u + v * v + z * z):
         if not abs(n - 1.0) <= UNIT_TOL:  # a nan component fails too

@@ -328,6 +328,16 @@ def chain_triple(k, l, m):
                      MINUS_IDENTITY)
 
 
+def chain_orthonormal_triple(rng):
+    """quantum-check's Euler-Rodrigues triple as the chain drew it."""
+    a, b, c, d = (rng.gauss(0.0, 1.0) for _ in range(4))
+    n = a * a + b * b + c * c + d * d
+    cols = ((a * a + b * b - c * c - d * d, 2 * (b * c + a * d), 2 * (b * d - a * c)),
+            (2 * (b * c - a * d), a * a - b * b + c * c - d * d, 2 * (c * d + a * b)),
+            (2 * (b * d + a * c), 2 * (c * d - a * b), a * a - b * b - c * c + d * d))
+    return [Direction(*(x / n for x in col)) for col in cols]
+
+
 def bits(xs):
     """The floats of xs by their bits: -0.0 and 0.0 differ, nan equals nan."""
     return [float(x).hex() for x in xs]
@@ -381,8 +391,8 @@ class TestWrittenOutRoutes:
             return pairs[-1][1]
 
         def triple(*args):
-            triples.append(triple_product_check(*args))
-            return triples[-1]
+            triples.append((args, triple_product_check(*args)))
+            return triples[-1][1]
 
         monkeypatch.setattr(cli, "pair_product_check", pair)
         monkeypatch.setattr(cli, "triple_product_check", triple)
@@ -401,10 +411,12 @@ class TestWrittenOutRoutes:
             norm, corr = chain_pair(theta, phi, delta_of_theta(theta))
             oracle_comm.append(norm)
             oracle_g.append(abs(corr - g_of_theta(theta)))
-        oracle_triples = [chain_triple(*cli._orthonormal_triple(rng)) for _ in range(100)]
+        oracle_triples = [chain_orthonormal_triple(rng) for _ in range(100)]
         assert bits(comm) == bits(oracle_comm)
         assert bits(g_res) == bits(oracle_g)
-        assert bits(triples) == bits(oracle_triples)
+        assert [bits(x for d in args for x in d) for args, _ in triples] == [
+            bits(x for d in t for x in d) for t in oracle_triples]
+        assert bits(r for _, r in triples) == bits(chain_triple(*t) for t in oracle_triples)
 
     def test_nan_step_fails_the_unit_check(self, monkeypatch):
         with pytest.raises(ValueError, match="direction must be unit length"):
