@@ -15,17 +15,11 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+sys.path[:0] = [str(PERFBENCH), str(PERFBENCH / "tests")]
 
 import inputs  # noqa: E402
 import run  # noqa: E402
-
-# The TINY sizes of perfbench/tests/test_bench_run.py
-TINY = {
-    "scan-table": {"q_max": 20},
-    "member-stream": {"q_range": (5, 300), "theta_q_max": (10, 60)},
-    "search-stream": {"oracle_q": (10, 11), "scan_length": (20, 200), "quantum_samples": 5},
-}
+from test_bench_run import TINY  # noqa: E402  the benchmark tests' own sizes
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
