@@ -1,9 +1,10 @@
 """Hidden-variable outcome functions on the circle.
 
-Cycle assignments (arc-piecewise-constant +-1 functions) for the exact
-minimum oracle, the closed-form minima for the two parity classes of q,
-and the mixture of two closed-form sign patterns that reproduces the
-correlation of a member already decided Classical.
+Cycle assignments (arc-piecewise-constant +-1 functions), each a sign
+string with '+' or '-' per cycle position, position 0 first: the exact
+minimum oracle's minimizer, the closed-form minima for the two parity
+classes of q, and the mixture of two closed-form patterns that reproduces
+the correlation of a member already decided Classical.
 
 Correlations are kept as exact Fractions; floats appear only at the
 quantum interface.
@@ -27,40 +28,6 @@ class ExclusivityError(ValueError):
 # neighbour grows like 1/(q * epsilon).
 WITNESS_Q_MAX = 10_000_000
 
-_SIGNS = str.maketrans("01", "+-")
-
-
-def _rot1(mask: int, q: int) -> int:
-    """Rotate a q-bit mask down by one: bit k of the result is bit k+1 mod q."""
-    return (mask >> 1) | ((mask & 1) << (q - 1))
-
-
-class CycleAssignment(namedtuple("CycleAssignment", "q mask")):
-    """+-1 outcomes along the step-orbit cycle, stored as a q-bit mask.
-
-    Bit k of mask set means outcome -1 on cycle position k (the encoding of
-    _kernel); positions k and k+1 mod q are compatible measurements, so
-    they can never both be -1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, q: int, mask: int):
-        if q < 1:
-            raise ValueError("assignment must be nonempty")
-        if not 0 <= mask < 1 << q:
-            raise ValueError(f"mask must lie in [0, 2^{q})")
-        clash = mask & _rot1(mask, q)
-        if clash:
-            k = (clash & -clash).bit_length() - 1
-            raise ExclusivityError(f"positions {k} and {(k + 1) % q} are both -1")
-        return super().__new__(cls, q, mask)
-
-    @property
-    def signs(self) -> str:
-        """'+'/'-' per cycle position, position 0 first."""
-        return format(self.mask, f"0{self.q}b")[::-1].translate(_SIGNS)
-
 
 def min_correlation(q: int) -> Fraction:
     """Closed-form minimum of the normalized correlation over admissible
@@ -70,22 +37,26 @@ def min_correlation(q: int) -> Fraction:
     return Fraction(-(2 * n - 1), 2 * n + 1) if odd else Fraction(-1)
 
 
-def brute_force_min(q: int) -> tuple[Fraction, CycleAssignment]:
+def brute_force_min(q: int) -> tuple[Fraction, str]:
     """Exact minimum over all 2^q sign vectors on q cycle positions
-    respecting exclusivity, with its minimizer.
+    respecting exclusivity, with its minimizer as a sign string.
 
     Independent oracle for min_correlation: a min-plus transfer-matrix
     sweep around the cycle that never looks at the parity of q, with the
-    lowest-mask tie-break of an exhaustive enumeration.  It is no longer
-    brute force; the name is kept because the benchmark wraps it.  Its
-    minimizer is the only CycleAssignment the program builds: a witness
-    holds the closed-form sign strings of mixture_for_target.
+    tie-break of an exhaustive enumeration (_kernel.min_cycle_sum).  It is
+    no longer brute force; the name is kept because the benchmark wraps
+    it.  Positions k and k+1 mod q are compatible measurements, so they
+    can never both be -1: the minimizer is checked for that, and
+    ExclusivityError names the lowest clash.
 
     Resource limit: q <= _kernel.Q_MAX (100,000); min_cycle_sum raises
     ValueError for larger q.
     """
-    best_sum, best_mask = min_cycle_sum(q)
-    return Fraction(best_sum, q), CycleAssignment(q, best_mask)
+    best_sum, signs = min_cycle_sum(q)
+    k = (signs + signs[0]).find("--")
+    if k >= 0:
+        raise ExclusivityError(f"positions {k} and {(k + 1) % q} are both -1")
+    return Fraction(best_sum, q), signs
 
 
 # A witness: (weight, sign string) pairs, position 0 first in each string.

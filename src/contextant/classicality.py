@@ -216,18 +216,20 @@ class VectorSet:
         ]
 
 
-# coloring: +-1 per vector, -1 = singled out, or None when unsatisfiable;
-# count: None when the set exceeds the counting cap
+# coloring: '+' or '-' per vector in file order, '-' = singled out, or None
+# when unsatisfiable; count: None when the set exceeds the counting cap
 ColorabilityResult = namedtuple("ColorabilityResult", "satisfiable coloring count")
 
+_PLUS_MINUS = str.maketrans("10", "+-")
 
-def _valid(values: tuple[int, ...], vset: VectorSet, mode: str) -> bool:
+
+def _valid(coloring: str, vset: VectorSet, mode: str) -> bool:
     for i, j in vset.pairs:
-        if values[i] == -1 and values[j] == -1:
+        if coloring[i] == coloring[j] == "-":
             return False
     if mode == "strict":
         for t in vset.triples:
-            if sum(1 for i in t if values[i] == -1) != 1:
+            if sum(coloring[i] == "-" for i in t) != 1:
                 return False
     return True
 
@@ -325,7 +327,9 @@ def ks_colorability(vset: VectorSet, mode: str = "strict") -> ColorabilityResult
         first |= comp_first
         count *= comp_count
 
-    coloring = tuple(1 if first >> k & 1 else -1 for k in range(n))
+    # bit k of first is set for +1 at vector k; bin lists the bits from the
+    # top, and the 1 above them keeps the n digits when first is small
+    coloring = bin(first | 1 << n)[:2:-1].translate(_PLUS_MINUS)
     assert _valid(coloring, vset, mode)
     return ColorabilityResult(
         True, coloring, count if n <= COUNT_CAP else None)

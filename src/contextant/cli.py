@@ -261,10 +261,10 @@ def cmd_verdict(args) -> None:
 
 def cmd_oracle(args) -> None:
     angle = _angle(args)
-    corr, assignment = _or_exit(EXIT_RESOURCE, brute_force_min, angle.q)
+    corr, signs = _or_exit(EXIT_RESOURCE, brute_force_min, angle.q)
     print(f"p/q: {args.p}/{args.q}")
     print(f"min correlation: {corr} = {_fmt(float(corr))}")
-    print(f"minimizer: ({assignment.signs})")
+    print(f"minimizer: ({signs})")
     closed = min_correlation(angle.q)
     print(f"closed form: {closed} ({'agree' if closed == corr else 'DISAGREE'})")
     if closed != corr:
@@ -349,8 +349,7 @@ def cmd_ks_color(args) -> None:
     print(f"vectors: {len(vset.vectors)}  orthogonal pairs: {len(vset.pairs)}  "
           f"triples: {len(vset.triples)}")
     if result.satisfiable:
-        signs = "".join("+" if v == 1 else "-" for v in result.coloring)
-        print(f"SAT ({signs})")
+        print(f"SAT ({result.coloring})")
     else:
         print("UNSAT")
     if result.count is not None:

@@ -37,3 +37,8 @@ def mixture_correlation(components):
     assert all(w >= 0 for w, _ in components)
     assert sum(w for w, _ in components) == 1
     return sum(w * signs_correlation(s) for w, s in components)
+
+
+def mask_signs(mask, q):
+    """The sign string of a q-bit mask: '-' at position k iff bit k is set."""
+    return "".join("-" if (mask >> k) & 1 else "+" for k in range(q))

@@ -166,8 +166,7 @@ def test_criterion_7_colorability_sanity():
     basis = VectorSet([X, Y, Z])
     res = ks_colorability(basis, "strict")
     assert res.satisfiable and res.count == 3
-    minus = [v == -1 for v in res.coloring]
-    assert sum(minus) == 1  # post-hoc: exactly one -1 in the triple
+    assert res.coloring.count("-") == 1  # post-hoc: exactly one -1 in the triple
 
     angle = RationalAngle(2, 5)
     delta = angle.delta
@@ -176,9 +175,10 @@ def test_criterion_7_colorability_sanity():
     assert not pent.triples
     pres = ks_colorability(pent, "strict")
     assert pres.satisfiable
-    vals = pres.coloring
+    signs = pres.coloring
+    assert len(signs) == 5 and set(signs) <= {"+", "-"}
     for i, j in pent.pairs:
-        assert not (vals[i] == -1 and vals[j] == -1)
+        assert not (signs[i] == "-" and signs[j] == "-")
     # NOTE: only finite witnesses are checked; the continuum no-coloring
     # statement is out of computational scope by design.
     report("criterion 7: colorability sanity", start, 30.0)

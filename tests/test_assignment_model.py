@@ -7,17 +7,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from contextant import assignment_model
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import (
     WITNESS_Q_MAX,
-    CycleAssignment,
     ExclusivityError,
     brute_force_min,
     min_correlation,
     mixture_for_target,
 )
 
-from conftest import coprime_pairs, mixture_correlation, signs_correlation
+from conftest import (
+    coprime_pairs,
+    mask_signs,
+    mixture_correlation,
+    signs_correlation,
+)
 
 
 def naive_min(q):
@@ -44,11 +49,17 @@ def tuple_correlation(values):
     return Fraction(sum(values[k] * values[(k + 1) % q] for k in range(q)), q)
 
 
-def from_values(values):
-    """The assignment with these +-1 outcomes (bit k set = -1 at k)."""
-    return CycleAssignment(
-        len(values), sum(1 << k for k, v in enumerate(values) if v == -1)
-    )
+def checked(signs):
+    """brute_force_min(len(signs)) on a kernel whose minimizer is signs: the
+    exclusivity check is the only step between the two."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment_model, "min_cycle_sum", lambda q: (0, signs))
+        return brute_force_min(len(signs))
+
+
+def values_signs(values):
+    """The sign string of a +-1 tuple."""
+    return "".join("+" if v == 1 else "-" for v in values)
 
 
 def signs_values(signs):
@@ -70,51 +81,52 @@ def patterns(q):
 
 
 class TestCycleAssignment:
+    """brute_force_min checks its minimizer's sign string for two
+    cyclically adjacent -1, and names the lowest clash."""
+
     def test_rejects_adjacent_minus_pair(self):
         with pytest.raises(ExclusivityError, match="positions 1 and 2"):
-            from_values((1, -1, -1, 1))
+            checked("+--+")
         with pytest.raises(ExclusivityError, match="positions 1 and 2"):
-            from_values((1, -1, -1, -1, 1))  # the lowest clash is named
+            checked("+---+")  # the lowest clash is named
 
     def test_rejects_wraparound_minus_pair(self):
         with pytest.raises(ExclusivityError, match="positions 3 and 0"):
-            from_values((-1, 1, 1, -1))
-
-    def test_rejects_mask_out_of_range_and_empty_cycle(self):
-        for q, mask in ((3, -1), (3, 8), (1, 2), (0, 0), (-1, 0)):
-            with pytest.raises(ValueError):
-                CycleAssignment(q, mask)
-        with pytest.raises(ExclusivityError):
-            CycleAssignment(1, 1)  # the single position is its own neighbour
+            checked("-++-")
+        with pytest.raises(ExclusivityError, match="positions 0 and 0"):
+            checked("-")  # the single position is its own neighbour
 
     @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12))
     def test_constructor_enforces_exclusivity(self, values):
+        signs = values_signs(values)
         if is_admissible(values):
-            assert signs_values(from_values(values).signs) == tuple(values)
+            assert checked(signs) == (0, signs)
         else:
             with pytest.raises(ExclusivityError):
-                from_values(values)
+                checked(signs)
 
     def test_matches_tuple_reference_exhaustively(self):
         for q in range(1, 13):
             for mask in range(1 << q):
                 values = tuple(-1 if (mask >> k) & 1 else 1 for k in range(q))
+                signs = mask_signs(mask, q)
                 if not is_admissible(values):
                     with pytest.raises(ExclusivityError):
-                        CycleAssignment(q, mask)
+                        checked(signs)
                     continue
-                a = CycleAssignment(q, mask)
-                assert signs_values(a.signs) == values
-                assert signs_correlation(a.signs) == tuple_correlation(values)
+                assert checked(signs)[1] == signs
+                assert signs_values(signs) == values
+                assert signs_correlation(signs) == tuple_correlation(values)
 
     def test_signs_and_values_round_trip(self):
-        for q in range(1, 11):
-            for mask in range(1 << q):
-                if mask & ((mask >> 1) | ((mask & 1) << (q - 1))):
-                    continue
-                a = CycleAssignment(q, mask)
-                assert len(a.signs) == q
-                assert from_values(signs_values(a.signs)) == a
+        # every minimizer the sweep returns up to q = 16 passes the check
+        # and is a +-1 vector of length q
+        for q in range(1, 17):
+            corr, signs = brute_force_min(q)
+            assert len(signs) == q
+            assert values_signs(signs_values(signs)) == signs
+            assert is_admissible(signs_values(signs))
+            assert signs_correlation(signs) == corr
 
 
 class TestCycleCorrelation:
@@ -171,7 +183,7 @@ class TestOptimalAssignment:
         construction, admissible and minimal."""
         for q in range(2, 2001):
             optimal, _ = patterns(q)
-            assert optimal == CycleAssignment(q, optimal_mask(q)).signs
+            assert optimal == mask_signs(optimal_mask(q), q)
             assert "--" not in optimal + optimal[0]
             assert signs_correlation(optimal) == min_correlation(q)
 
@@ -188,14 +200,14 @@ class TestOptimalAssignment:
 
 class TestBruteForce:
     def test_pentagram(self):
-        corr, a = brute_force_min(5)
+        corr, signs = brute_force_min(5)
         assert corr == Fraction(-3, 5)
-        assert signs_correlation(a.signs) == corr
+        assert signs_correlation(signs) == corr
 
     def test_half(self):
-        corr, a = brute_force_min(2)
+        corr, signs = brute_force_min(2)
         assert corr == Fraction(-1)
-        assert set(a.signs) == {"+", "-"}
+        assert set(signs) == {"+", "-"}
 
     def test_matches_closed_form_exhaustively(self):
         for p, q in coprime_pairs(16):
@@ -293,12 +305,12 @@ def test_continuum_integral_matches_cycle_correlation():
     """Fine-grid quadrature of the arc-piecewise-constant function agrees
     with the exact cycle correlation."""
     for p, q in [(2, 5), (1, 4), (3, 7), (5, 12)]:
-        corr, a = brute_force_min(q)
+        corr, signs = brute_force_min(q)
         # value on arc j = value at the cycle position k occupying it: the
         # k-th step of 2*pi*p/q lands on arc k*p mod q, a bijection for
         # coprime p and q
         value_of_arc = [0] * q
-        for k, v in enumerate(signs_values(a.signs)):
+        for k, v in enumerate(signs_values(signs)):
             value_of_arc[k * p % q] = v
 
         def f(phi):

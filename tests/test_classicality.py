@@ -112,11 +112,12 @@ class TestDecidePairFamily:
             assert (Fraction(v.g) < hv_min) == (not v.classical)
 
     def test_classical_verdict_builds_no_cycle_assignment(self, monkeypatch):
-        def refuse(cls, *args):
-            raise AssertionError("CycleAssignment built")
+        # the witness is closed-form: the exact-minimum oracle never runs
+        def refuse(q):
+            raise AssertionError("brute_force_min ran")
 
-        monkeypatch.setattr(contextant.assignment_model.CycleAssignment,
-                            "__new__", refuse)
+        monkeypatch.setattr(contextant.assignment_model, "min_cycle_sum", refuse)
+        monkeypatch.setattr(contextant.assignment_model, "brute_force_min", refuse)
         for p, q in [(1, 4), (1, 3), (1, 2), (50000, 199999)]:
             v = decide_pair_family(RationalAngle(p, q))
             assert v.classical
@@ -316,7 +317,8 @@ class TestConditionPThreshold:
 
 
 def enumerate_colorings(vset, mode):
-    """Independent exhaustive oracle over all sign tuples."""
+    """Independent exhaustive oracle over all sign tuples; the colorings as
+    sign strings, '+' or '-' per vector."""
     n = len(vset.vectors)
     out = []
     for values in product((1, -1), repeat=n):
@@ -326,13 +328,14 @@ def enumerate_colorings(vset, mode):
             sum(1 for i in t if values[i] == -1) != 1 for t in vset.triples
         ):
             continue
-        out.append(values)
+        out.append("".join("+" if v == 1 else "-" for v in values))
     return out
 
 
 def backtracking_colorability(vset, mode):
     """Reference: plain backtracking in index order, +1 before -1, without
-    propagation; counts the colorings of sets of at most COUNT_CAP vectors."""
+    propagation; counts the colorings of sets of at most COUNT_CAP vectors.
+    The first coloring is a sign string, '+' or '-' per vector."""
     n = len(vset.vectors)
     # A -1 needs every earlier partner at +1.  The pair rule leaves at most
     # one -1 per triple, so in strict mode a +1 needs only that each triple
@@ -354,7 +357,7 @@ def backtracking_colorability(vset, mode):
         if j == n:
             count += 1
             if first is None:
-                first = tuple(values)
+                first = "".join("+" if v == 1 else "-" for v in values)
                 if not do_count:
                     break
             j -= 1
@@ -470,7 +473,7 @@ class TestKsColorability:
                 for k in range(COUNT_CAP)]
         vset = VectorSet(vecs)
         assert not vset.pairs
-        expected = ColorabilityResult(True, (1,) * COUNT_CAP, 2 ** COUNT_CAP)
+        expected = ColorabilityResult(True, "+" * COUNT_CAP, 2 ** COUNT_CAP)
         monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", COUNT_CAP)
         assert ks_colorability(vset, "strict") == expected
         monkeypatch.setattr(contextant.classicality, "KS_STEP_BUDGET", COUNT_CAP - 1)
@@ -539,9 +542,8 @@ class TestKsColorability:
 @pytest.mark.parametrize("record, field", [
     (RationalAngle(2, 5), "p"),
     (Direction(1.0, 0.0, 0.0), "x"),
-    (contextant.assignment_model.CycleAssignment(5, 0b01010), "mask"),
     (decide_pair_family(RationalAngle(2, 5)), "classical"),
-    (ColorabilityResult(True, (1,), 2), "count"),
+    (ColorabilityResult(True, "+", 2), "count"),
 ], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
 def test_records_are_immutable(record, field):
     # a record holds no field setter and takes no new attribute

@@ -2,6 +2,8 @@ import pytest
 
 from contextant import _kernel
 
+from conftest import mask_signs
+
 
 def naive_min_cycle_sum(q):
     """Independent enumeration oracle: (sum, lowest mask) over all 2^q
@@ -19,7 +21,8 @@ def naive_min_cycle_sum(q):
 
 @pytest.mark.parametrize("q", range(1, 17))
 def test_matches_exhaustive_enumeration(q):
-    assert _kernel.min_cycle_sum(q) == naive_min_cycle_sum(q)
+    best, mask = naive_min_cycle_sum(q)
+    assert _kernel.min_cycle_sum(q) == (best, mask_signs(mask, q))
 
 
 def test_selected_backend_reported():
