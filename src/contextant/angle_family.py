@@ -59,9 +59,6 @@ class Direction(namedtuple("Direction", "x y z")):
             raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
         return super().__new__(cls, x, y, z)
 
-    def dot(self, other: "Direction") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
 
 def delta_of_theta(theta: float) -> float:
     """Compatibility angle arccos(-cot^2 theta), for theta in [pi/4, pi/2].

@@ -37,7 +37,9 @@ class ClassicalityVerdict(namedtuple(
     A Classical verdict's certificate is (w, q): its witness mixes the
     closed-form alternating pattern, which attains min_corr, with weight
     w = (1 - Fraction(g))/(1 - min_corr) and the all-"+" pattern with
-    weight 1 - w, both q characters long.  It reproduces Fraction(g), the
+    weight 1 - w.  Each pattern is a Pattern(q, alternating) descriptor;
+    its q-character sign string is only ever written, in pieces of at most
+    assignment_model.CHUNK characters.  It reproduces Fraction(g), the
     exact float g: for irrational cos(2*pi*p/q) a float neighbour of the
     member's correlation (at 1/3 w is 36028797018963957/36028797018963968,
     not 1).  A Nonclassical verdict has witness None and the certificate
@@ -201,8 +203,8 @@ class VectorSet:
             if work > VECTORSET_BUDGET:
                 raise ValueError(f"vector set needs more than {VECTORSET_BUDGET} "
                                  "dot products and triple checks")
-            # Direction.dot's sum, in its order, on unpacked coordinates:
-            # reading each namedtuple field by name costs more per pair
+            # the dot product on unpacked coordinates: reading each
+            # namedtuple field by name costs more per pair
             for j, (vx, vy, vz) in enumerate(vectors[i + 1:], i + 1):
                 if abs(ux * vx + uy * vy + uz * vz) < ORTHO_TOL:
                     work += n - j - 1

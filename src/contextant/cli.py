@@ -25,7 +25,13 @@ from .angle_family import (
     rational_approximants,
     theta_in_range,
 )
-from .assignment_model import WITNESS_Q_MAX, brute_force_min, min_correlation
+from .assignment_model import (
+    CHUNK,
+    WITNESS_Q_MAX,
+    brute_force_min,
+    min_correlation,
+    pattern_chunks,
+)
 from .classicality import (
     VECTORSET_BUDGET,
     VERDICT,
@@ -207,24 +213,37 @@ def _decide(angle: RationalAngle):
     return _or_exit(EXIT_RESOURCE, decide_pair_family, angle)
 
 
-def _verdict_lines(v) -> list[str]:
-    lines = [
-        f"verdict: {v.verdict}",
-        f"p/q: {v.angle.p}/{v.angle.q}",
-        f"theta: {_fmt(v.theta)}",
-        f"delta: {_fmt(v.delta)}",
-        f"g: {_fmt(v.g)}",
-        f"margin: {_fmt(v.margin)}",
-    ]
-    if v.classical:
-        parts = [f"weight {w} on ({s})" for w, s in v.witness.components]
-        lines.append("witness mixture: " + "; ".join(parts))
-    else:
-        lines.append(
-            f"certificate: quantum {_fmt(v.g)} vs "
-            f"best hidden-variable {_fmt(float(v.min_corr))}"
-        )
-    return lines
+def _write_verdict(v, indent: str = "") -> None:
+    """Write v's verdict block to stdout, each line after indent: the six
+    fixed lines in one write, then the certificate line.  A Classical
+    member's witness line is written from pattern_chunks, joined into
+    writes of about CHUNK characters, so a small one is a single write and
+    no write holds a whole q-character pattern."""
+    write = sys.stdout.write
+    write(f"{indent}verdict: {v.verdict}\n"
+          f"{indent}p/q: {v.angle.p}/{v.angle.q}\n"
+          f"{indent}theta: {_fmt(v.theta)}\n"
+          f"{indent}delta: {_fmt(v.delta)}\n"
+          f"{indent}g: {_fmt(v.g)}\n"
+          f"{indent}margin: {_fmt(v.margin)}\n")
+    if not v.classical:
+        write(f"{indent}certificate: quantum {_fmt(v.g)} vs "
+              f"best hidden-variable {_fmt(float(v.min_corr))}\n")
+        return
+    buf, size = [f"{indent}witness mixture: "], 0
+    sep = ""
+    for w, pattern in v.witness.components:
+        buf.append(f"{sep}weight {w} on (")
+        for piece in pattern_chunks(pattern):
+            if size + len(piece) > CHUNK:
+                write("".join(buf))
+                buf, size = [], 0
+            buf.append(piece)
+            size += len(piece)
+        buf.append(")")
+        sep = "; "
+    buf.append("\n")
+    write("".join(buf))
 
 
 def cmd_verdict(args) -> None:
@@ -234,7 +253,7 @@ def cmd_verdict(args) -> None:
     if has_pq:
         if args.p is None or args.q is None:
             raise Exit(EXIT_USAGE, "--p and --q go together")
-        print("\n".join(_verdict_lines(_decide(_angle(args)))))
+        _write_verdict(_decide(_angle(args)))
         return
     delta = delta_of_theta(args.theta)
     classical, note = decide_pair_family_generic()
@@ -335,12 +354,10 @@ def cmd_discontinuity(args) -> None:
                    f"closest achieved distance {_fmt(float(dist))}")
     v2 = _decide(found)
     print(f"nonclassical member: {args.p}/{args.q}")
-    for line in _verdict_lines(v):
-        print("  " + line)
+    _write_verdict(v, "  ")
     print(f"classical neighbor: {found.p}/{found.q} "
           f"(distance {_fmt(float(dist))} in delta/2pi)")
-    for line in _verdict_lines(v2):
-        print("  " + line)
+    _write_verdict(v2, "  ")
 
 
 def cmd_ks_color(args) -> None:

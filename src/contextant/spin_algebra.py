@@ -135,7 +135,7 @@ def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:
     kx, ky, kz = k
     lx, ly, lz = l
     mx, my, mz = m
-    # Direction.dot of (k, l), (k, m) and (l, m)
+    # the dot products of (k, l), (k, m) and (l, m)
     for d in (kx * lx + ky * ly + kz * lz, kx * mx + ky * my + kz * mz,
               lx * mx + ly * my + lz * mz):
         d = abs(d)

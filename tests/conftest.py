@@ -2,10 +2,13 @@
 source tree on its PYTHONPATH so they also run from an uninstalled
 checkout.  Helpers shared by several test modules live here too."""
 
+import hashlib
 import math
 import os
 from fractions import Fraction
 from pathlib import Path
+
+from contextant.assignment_model import pattern_chunks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -31,14 +34,39 @@ def signs_correlation(signs):
     return Fraction(q - 2 * flips, q)
 
 
+def pattern_signs(pattern):
+    """The sign string of a witness pattern: the pieces the CLI writes,
+    joined."""
+    return "".join(pattern_chunks(pattern))
+
+
 def mixture_correlation(components):
-    """Exact correlation of a mixture of (weight, sign string) pairs, whose
+    """Exact correlation of a mixture of (weight, pattern) pairs, whose
     weights must be nonnegative and sum to 1."""
     assert all(w >= 0 for w, _ in components)
     assert sum(w for w, _ in components) == 1
-    return sum(w * signs_correlation(s) for w, s in components)
+    return sum(w * signs_correlation(pattern_signs(s)) for w, s in components)
 
 
 def mask_signs(mask, q):
     """The sign string of a q-bit mask: '-' at position k iff bit k is set."""
     return "".join("-" if (mask >> k) & 1 else "+" for k in range(q))
+
+
+class HashingSink:
+    """A stdout that keeps no text, only the sha256, the byte count and
+    the newline count of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.size = self.lines = 0
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        self.size += len(data)
+        self.lines += data.count(b"\n")
+        return len(text)
+
+    def flush(self):
+        pass

@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from contextant import assignment_model
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import (
+    CHUNK,
     WITNESS_Q_MAX,
     ExclusivityError,
+    Pattern,
     brute_force_min,
     min_correlation,
     mixture_for_target,
+    pattern_chunks,
 )
 
 from conftest import (
     coprime_pairs,
     mask_signs,
     mixture_correlation,
+    pattern_signs,
     signs_correlation,
 )
 
@@ -77,7 +81,7 @@ def patterns(q):
     """The (optimal, uniform) sign strings a witness on q positions prints."""
     (_, optimal), (_, uniform) = mixture_for_target(
         Fraction(1), min_correlation(q), q).components
-    return optimal, uniform
+    return pattern_signs(optimal), pattern_signs(uniform)
 
 
 class TestCycleAssignment:
@@ -196,6 +200,27 @@ class TestOptimalAssignment:
         for q in (3, 5, 7, 9, 11):
             optimal, _ = patterns(q)
             assert (optimal + optimal[0]).count("++") == 1
+
+
+class TestPatternChunks:
+    """A witness is two (q, alternating) descriptors; pattern_chunks writes
+    each as pieces of at most CHUNK characters that join to its string."""
+
+    def test_components_hold_no_sign_string(self):
+        (_, optimal), (_, uniform) = mixture_for_target(
+            Fraction(0), Fraction(-1), WITNESS_Q_MAX).components
+        assert (optimal, uniform) == (Pattern(WITNESS_Q_MAX, True),
+                                      Pattern(WITNESS_Q_MAX, False))
+
+    @pytest.mark.parametrize("q", [2, 3, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 3])
+    def test_pieces_join_to_the_closed_form_patterns(self, q):
+        for pattern, signs in ((Pattern(q, True), "+-" * (q // 2) + "+" * (q % 2)),
+                               (Pattern(q, False), "+" * q)):
+            pieces = list(pattern_chunks(pattern))
+            assert len(pieces) == -(-q // CHUNK)
+            assert all(len(piece) == CHUNK for piece in pieces[:-1])
+            assert "".join(pieces) == signs
 
 
 class TestBruteForce:

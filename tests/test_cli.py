@@ -9,7 +9,7 @@ import pytest
 import contextant.classicality
 from contextant import angle_family, cli
 from contextant._kernel import Q_MAX
-from contextant.assignment_model import WITNESS_Q_MAX
+from contextant.assignment_model import CHUNK, WITNESS_Q_MAX
 from contextant.classicality import dot_products
 from contextant.cli import QUANTUM_SAMPLES_MAX, THETA_Q_MAX, main
 
@@ -73,6 +73,26 @@ class TestVerdict:
         assert_usage_error(run_cli("verdict", "--theta", "0.9553166181245094",
                                    "--q-max", str(THETA_Q_MAX + 1)), "--q-max")
 
+
+    @pytest.mark.parametrize("p, q", [(2, 5), (1, 4), (50000, 199999)])
+    def test_writes_the_witness_in_pieces(self, p, q, monkeypatch):
+        # the six fixed lines are one write and a small witness line another;
+        # a long one is written in pieces of about CHUNK characters
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["verdict", "--p", str(p), "--q", str(q)]) == 0
+        assert writes[0].count("\n") == 6 and writes[0].endswith("\n")
+        if q < CHUNK // 2:
+            assert len(writes) == 2
+        else:
+            assert len(writes) >= 2 * q // CHUNK
+            assert max(map(len, writes)) < CHUNK + 100
+        assert "".join(writes).count("\n") == 7
     @pytest.mark.parametrize("command", ["verdict", "discontinuity"])
     def test_classical_member_above_witness_limit(self, command):
         q = WITNESS_Q_MAX + 1

@@ -37,14 +37,18 @@ Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
 """
 
+import contextlib
 import gzip
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from contextant.cli import QUANTUM_SAMPLES_MAX, main
+
+from conftest import HashingSink
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,12 +123,33 @@ def test_scan_qmax2000_json_matches_digest(capsys):
         "cd4731ede5810603c37f2e4397cf7b7ef6420a08e005a8010c64fcf1a9339849")
 
 
+# sha256 of `verdict --p 2500001 --q 10000000` stdout: 7 lines, 20,000,234 bytes
+WITNESS_LIMIT_SHA256 = (
+    "c5e38445218269c6446f876ac953a8c62cb6bebd9d81682e777823649feb43e0")
+
+
 def test_verdict_at_the_witness_limit_matches_digest(capsys):
     assert main(["verdict", "--p", "2500001", "--q", "10000000"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert (out.count(b"\n"), len(out)) == (7, 20_000_234)
-    assert hashlib.sha256(out).hexdigest() == (
-        "c5e38445218269c6446f876ac953a8c62cb6bebd9d81682e777823649feb43e0")
+    assert hashlib.sha256(out).hexdigest() == WITNESS_LIMIT_SHA256
+
+
+def test_verdict_at_the_witness_limit_streams_in_constant_memory():
+    # the witness is written piece by piece: no q-character pattern is
+    # built, so the traced peak is a few pieces, not the 20 MB of output
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["verdict", "--p", "2500001", "--q", "10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.lines, sink.size) == (7, 20_000_234)
+    assert sink.sha256.hexdigest() == WITNESS_LIMIT_SHA256
+    assert peak < 2 * 2**20, peak
 
 
 # Peres' 33 rays, strict: UNSAT; without the last ray: SAT; a 10-ray subset

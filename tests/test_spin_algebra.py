@@ -233,7 +233,7 @@ class TestCommutatorNorm:
         tried = 0
         while tried < 30:
             d1, d2 = random_direction(rng), random_direction(rng)
-            dot = abs(d1.dot(d2))
+            dot = abs(d1.x * d2.x + d1.y * d2.y + d1.z * d2.z)
             if dot < 1e-3 or dot > 1 - 1e-3:
                 continue
             tried += 1
@@ -298,7 +298,7 @@ def test_compatible_directions_are_orthogonal():
         delta = delta_of_theta(theta)
         d1 = direction_from_angles(theta, 0.3)
         d2 = direction_from_angles(theta, 0.3 + delta)
-        assert abs(d1.dot(d2)) < 1e-12
+        assert abs(d1.x * d2.x + d1.y * d2.y + d1.z * d2.z) < 1e-12
 
 
 def test_fixed_state_correlation_equals_g_on_grid():
