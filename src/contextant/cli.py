@@ -217,8 +217,8 @@ def _write_verdict(v, indent: str = "") -> None:
     """Write v's verdict block to stdout, each line after indent: the six
     fixed lines in one write, then the certificate line.  A Classical
     member's witness line is written from pattern_chunks, joined into
-    writes of about CHUNK characters, so a small one is a single write and
-    no write holds a whole q-character pattern."""
+    writes of at most about CHUNK characters: a small witness line is one
+    write, and no q-character pattern is built whole."""
     write = sys.stdout.write
     write(f"{indent}verdict: {v.verdict}\n"
           f"{indent}p/q: {v.angle.p}/{v.angle.q}\n"

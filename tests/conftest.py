@@ -2,7 +2,6 @@
 source tree on its PYTHONPATH so they also run from an uninstalled
 checkout.  Helpers shared by several test modules live here too."""
 
-import hashlib
 import math
 import os
 from fractions import Fraction
@@ -52,21 +51,3 @@ def mask_signs(mask, q):
     """The sign string of a q-bit mask: '-' at position k iff bit k is set."""
     return "".join("-" if (mask >> k) & 1 else "+" for k in range(q))
 
-
-class HashingSink:
-    """A stdout that keeps no text, only the sha256, the byte count and
-    the newline count of what is written to it."""
-
-    def __init__(self):
-        self.sha256 = hashlib.sha256()
-        self.size = self.lines = 0
-
-    def write(self, text):
-        data = text.encode("utf-8")
-        self.sha256.update(data)
-        self.size += len(data)
-        self.lines += data.count(b"\n")
-        return len(text)
-
-    def flush(self):
-        pass

@@ -73,7 +73,6 @@ class TestVerdict:
         assert_usage_error(run_cli("verdict", "--theta", "0.9553166181245094",
                                    "--q-max", str(THETA_Q_MAX + 1)), "--q-max")
 
-
     @pytest.mark.parametrize("p, q", [(2, 5), (1, 4), (50000, 199999)])
     def test_writes_the_witness_in_pieces(self, p, q, monkeypatch):
         # the six fixed lines are one write and a small witness line another;
@@ -93,6 +92,7 @@ class TestVerdict:
             assert len(writes) >= 2 * q // CHUNK
             assert max(map(len, writes)) < CHUNK + 100
         assert "".join(writes).count("\n") == 7
+
     @pytest.mark.parametrize("command", ["verdict", "discontinuity"])
     def test_classical_member_above_witness_limit(self, command):
         q = WITNESS_Q_MAX + 1

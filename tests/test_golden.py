@@ -48,8 +48,6 @@ import pytest
 
 from contextant.cli import QUANTUM_SAMPLES_MAX, main
 
-from conftest import HashingSink
-
 DATA = Path(__file__).parent / "data"
 
 # q -> largest p with p/q reduced and in [1/4, 1/2]
@@ -133,6 +131,25 @@ def test_verdict_at_the_witness_limit_matches_digest(capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert (out.count(b"\n"), len(out)) == (7, 20_000_234)
     assert hashlib.sha256(out).hexdigest() == WITNESS_LIMIT_SHA256
+
+
+class HashingSink:
+    """A stdout that keeps no text, only the sha256, the byte count and
+    the newline count of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.size = self.lines = 0
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        self.size += len(data)
+        self.lines += data.count(b"\n")
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_verdict_at_the_witness_limit_streams_in_constant_memory():
