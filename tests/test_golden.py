@@ -30,8 +30,9 @@ print the same bytes:
   Python 3.10, 3.11 and 3.12), and for seeds 0-9 at 200 samples, kept
   only by sha256.  Seed 42 alone misses changes in the last bits of the
   directions: in the earlier S_z-basis algebra, normalising them with
-  `math.hypot` left it unchanged but moved 9 of the 10 digests; and at
-  the --samples cap for seed 1, also kept only by sha256.
+  `math.hypot` left it unchanged but moved 9 of the 10 digests; at
+  the --samples cap for seed 1; and at 1, 7 and 99 samples, where the
+  triple count min(samples, 100) is below 100, all kept only by sha256.
 
 Outputs too large to keep as text (a witness line is q characters long)
 are stored gzip-compressed.
@@ -212,6 +213,25 @@ def test_quantum_check_matches_digest(seed, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         QUANTUM_CHECK_200_SHA256[seed]), out
+
+
+# (samples, seed) -> sha256 of `quantum-check --samples <samples> --seed <seed>`
+# stdout, below 100 samples, where the triple count is the sample count
+QUANTUM_CHECK_SHORT_SHA256 = {
+    (1, 0): "be7e7b98dfa4efa194c30f3d47d88cad385b885274dbeaa665cc99268b06cb65",
+    (7, 3): "861a44861b67603dc51c6ee9d07127b77792901e299adc084615d7c5458ea646",
+    (99, 99): "cba8a3f558083c10d562afd5e80e5ebfa8102dc0009967611d5ec25b451b6229",
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(QUANTUM_CHECK_SHORT_SHA256))
+def test_quantum_check_below_100_samples_matches_digest(samples, seed, capsys):
+    assert main(["quantum-check", "--samples", str(samples),
+                 "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert f"over {samples} triples" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        QUANTUM_CHECK_SHORT_SHA256[samples, seed]), out
 
 
 # sha256 of `quantum-check --samples 100000 --seed 1` stdout, at the cap: its
