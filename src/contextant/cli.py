@@ -43,13 +43,7 @@ from .classicality import (
     find_classical_neighbor,
     ks_colorability,
 )
-from .spin_algebra import (
-    dichotomic,
-    direction_from_angles,
-    minus_one_eigenprojector,
-    pair_product_check,
-    triple_product_check,
-)
+from .spin_algebra import Vector, pair_residuals, triple_product_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,10 +54,17 @@ CSV_HEADER = "p,q,delta_over_2pi,theta,g,min_corr,verdict,margin"
 
 # Largest verdict --q-max: a float near a rational with a large partial
 # quotient a has about a/2 best approximations below q ~ a * q', so the
-# approximant list, not only its search, grows with q_max.
+# approximant list, not only its search, grows with q_max.  At this cap,
+# verdict --theta 0.9553156690398642 (delta/2pi just off 1/3) takes 0.8-1.2 s
+# end to end at 50 MB peak RSS on a shared 2-vCPU VM, printing 12 MB; that
+# input is not shown to be the worst case.
 THETA_Q_MAX = 1_000_000
 
-# quantum-check's largest --samples (0.6-0.8 s end to end on a shared 2-vCPU
+# Largest scan --q-max: the table's 7.6 million rows, 707 MB of CSV, take
+# 23-24 s end to end to /dev/null at 16 MB peak RSS on a shared 2-vCPU VM.
+SCAN_Q_MAX = 10_000
+
+# quantum-check's largest --samples (0.42-0.55 s end to end on a shared 2-vCPU
 # VM) and its residual tolerances.  Float rounding leaves residuals below 5e-15 (10^5
 # samples, seeds 0 and 1); each comment says what reaches the bound.
 QUANTUM_SAMPLES_MAX = 100_000
@@ -291,7 +292,7 @@ def cmd_oracle(args) -> None:
                    f"closed form {closed} differs from the exact minimum {corr}")
 
 
-def _orthonormal_triple(rng: random.Random) -> list[Direction]:
+def _orthonormal_triple(rng: random.Random) -> list[Vector]:
     """The columns of the rotation of a Gaussian quaternion (Euler-Rodrigues)
     over their norm n: an orthonormal triple, uniform over rotations."""
     gauss = rng.gauss
@@ -300,22 +301,21 @@ def _orthonormal_triple(rng: random.Random) -> list[Direction]:
     cols = ((a * a + b * b - c * c - d * d, 2 * (b * c + a * d), 2 * (b * d - a * c)),
             (2 * (b * c - a * d), a * a - b * b + c * c - d * d, 2 * (c * d + a * b)),
             (2 * (b * d + a * c), 2 * (c * d - a * b), a * a - b * b - c * c + d * d))
-    return [Direction(x / n, y / n, z / n) for x, y, z in cols]
+    return [(x / n, y / n, z / n) for x, y, z in cols]
 
 
 def cmd_quantum_check(args) -> None:
     rng = random.Random(args.seed)
-    # the m = 0 state e_z as a projector, checked to be a density matrix: it
-    # is exactly diag(0, 0, 1), so the state's Tr(rho A_u A_v) is entry [2][2]
-    # of the product, the correlation that pair_product_check returns
-    minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
+    rand = rng.random
+    # rng.uniform(lo, hi) is documented as lo + (hi - lo) * rng.random(), the
+    # draw written out here; for phi, lo = 0.0 and 0.0 + t is t
+    lo, span, turn = math.pi / 4, math.pi / 2 - math.pi / 4, 2 * math.pi
     comm, g_res = [], []
     for _ in range(args.samples):
-        theta = rng.uniform(math.pi / 4, math.pi / 2)
-        phi = rng.uniform(0.0, 2 * math.pi)
-        norm, corr = pair_product_check(theta, phi, delta_of_theta(theta))
+        theta = lo + span * rand()
+        norm, g_err = pair_residuals(theta, turn * rand())
         comm.append(norm)
-        g_res.append(abs(corr - g_of_theta(theta)))
+        g_res.append(g_err)
     n_triples = min(args.samples, 100)
     triples = [triple_product_check(*_orthonormal_triple(rng))
                for _ in range(n_triples)]
@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="tabulate verdicts over all reduced fractions")
     p.add_argument("--q-max", required=True,
-                   type=_checked(int, lambda n: 2 <= n <= 10000, "in [2, 10000]"))
+                   type=_checked(int, lambda n: 2 <= n <= SCAN_Q_MAX,
+                                 f"in [2, {SCAN_Q_MAX}]"))
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
 

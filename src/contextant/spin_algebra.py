@@ -5,20 +5,25 @@ direction d the dichotomic observable 2 (d.S)^2 - I is the reflection
 I - 2 d d^T.  The m = 0 state along z is e_z.  A matrix is a tuple of nine
 floats in row-major order, so math.dist gives the Frobenius norm of a - b.
 
-quantum-check takes the two routes written out entry by entry on unpacked
-coordinates, pair_product_check and triple_product_check.  They compute the
-sums of the helper chain direction_from_angles, dichotomic, matmul,
-math.dist and expectation, in its order, and skip only its exact zeros, so
-their results equal the chain's bit for bit; the chain is their test oracle.
+quantum-check takes the two routes written out entry by entry on plain
+coordinates, pair_residuals and triple_product_check.  pair_residuals takes
+cos theta and sin theta once per sample and derives from them the step
+delta and the correlation g with the float operations of delta_of_theta and
+g_of_theta.  Both routes compute the sums of the helper chain
+direction_from_angles, dichotomic, matmul, math.dist and expectation, in its
+order, and skip only its exact zeros, so their results equal the chain's bit
+for bit.  The chain has no caller in the program: it is the routes' test
+oracle, and perfbench's spans wrap its functions by name.
 """
 
 from __future__ import annotations
 
 import math
 
-from .angle_family import UNIT_TOL, Direction
+from .angle_family import UNIT_TOL, Direction, theta_in_range
 
 Matrix = tuple[float, ...]
+Vector = tuple[float, float, float]
 
 # The largest defect a check here accepts: a dot product of a triple, or the
 # distance of a^2 from I and of tr a from 1; nan fails them.  No check here
@@ -72,7 +77,7 @@ def expectation(rho: Matrix, a: Matrix) -> float:
     """Tr(rho a), the math.fsum of its nine products rho_ij a_ji.
 
     For rho = e_z e_z^T, exactly diag(0, 0, 1), this is a[8]: the
-    correlation that pair_product_check returns.
+    correlation that pair_residuals reads.
     """
     return math.fsum(rho[3 * i + j] * a[3 * j + i]
                      for i in range(3) for j in range(3))
@@ -94,18 +99,24 @@ def minus_one_eigenprojector(a: Matrix) -> Matrix:
     return tuple((e - x) / 2.0 for e, x in zip(IDENTITY, a))
 
 
-def pair_product_check(theta: float, phi: float, delta: float) -> tuple[float, float]:
-    """(|[A_u, A_v]|_F, <e_z, A_u A_v e_z>) for u and v the directions at
-    tilt theta and azimuths phi and phi + delta.
+def pair_residuals(theta: float, phi: float) -> tuple[float, float]:
+    """(|[A_u, A_v]|_F, |<e_z, A_u A_v e_z> - g(theta)|) for u and v the
+    directions at tilt theta and azimuths phi and phi + delta(theta).
 
-    u and v pass Direction's unit check.  Both reflections are exactly
-    symmetric and share their entry [2][2], so six entries of each are read;
-    [A_u, A_v] = P - P^T for P = A_u A_v, so the norm is math.hypot of P's
-    six off-diagonal differences in math.dist's order, the diagonal's exact
-    zeros left out.  The correlation is P[2][2], Tr(rho P) for rho = e_z e_z^T.
+    theta must pass theta_in_range, with delta_of_theta's message, and u
+    and v Direction's unit check.  cos theta and sin theta are taken once;
+    delta and g are computed from them as delta_of_theta and g_of_theta
+    compute them.  Both reflections are exactly symmetric and share their
+    entry [2][2], so six entries of each are read; [A_u, A_v] = P - P^T for
+    P = A_u A_v, so the norm is math.hypot of P's six off-diagonal
+    differences in math.dist's order, the diagonal's exact zeros left out.
+    The correlation is P[2][2], Tr(rho P) for rho = e_z e_z^T.
     """
-    st = math.sin(theta)
-    z = math.cos(theta)
+    if not theta_in_range(theta):
+        raise ValueError(f"theta = {theta!r} outside [pi/4, pi/2]")
+    z, st = math.cos(theta), math.sin(theta)
+    delta = math.acos(max(-1.0, min(1.0, -(z * z) / (st * st))))
+    g = max(-1.0, min(1.0, 1.0 - 4.0 * z * z))
     x, y = math.cos(phi) * st, math.sin(phi) * st
     phi += delta  # v's azimuth
     u, v = math.cos(phi) * st, math.sin(phi) * st
@@ -122,11 +133,12 @@ def pair_product_check(theta: float, phi: float, delta: float) -> tuple[float, f
     d02 = (a0 * b2 + a1 * b5 + a2 * c8) - (a2 * b0 + a5 * b1 + c8 * b2)
     d12 = (a1 * b2 + a4 * b5 + a5 * c8) - (a2 * b1 + a5 * b4 + c8 * b5)
     return (math.hypot(d01, d02, d01, d12, d02, d12),
-            a2 * b2 + a5 * b5 + c8 * c8)
+            abs(a2 * b2 + a5 * b5 + c8 * c8 - g))
 
 
-def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:
-    """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple.
+def triple_product_check(k: Vector, l: Vector, m: Vector) -> float:
+    """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple of
+    (x, y, z) coordinates, each of which must pass Direction's unit check.
 
     Each factor is exactly symmetric, so six entries of each are read; the
     products are summed as matmul sums them, and the residual is
@@ -135,6 +147,10 @@ def triple_product_check(k: Direction, l: Direction, m: Direction) -> float:
     kx, ky, kz = k
     lx, ly, lz = l
     mx, my, mz = m
+    for n in (kx * kx + ky * ky + kz * kz, lx * lx + ly * ly + lz * lz,
+              mx * mx + my * my + mz * mz):
+        if not abs(n - 1.0) <= UNIT_TOL:  # a nan component fails too
+            raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
     # the dot products of (k, l), (k, m) and (l, m)
     for d in (kx * lx + ky * ly + kz * lz, kx * mx + ky * my + kz * mz,
               lx * mx + ly * my + lz * mz):

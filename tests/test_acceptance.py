@@ -34,7 +34,8 @@ from contextant.spin_algebra import (
 )
 from contextant.angle_family import delta_of_theta, g_of_theta
 
-from conftest import coprime_pairs, mixture_correlation
+from check import family_fractions
+from conftest import mixture_correlation
 
 Z = Direction(0.0, 0.0, 1.0)
 
@@ -77,7 +78,7 @@ def test_criterion_1_kcbs_reproduction():
 
 def test_criterion_2_three_statement_oracle_equivalence():
     start = time.monotonic()
-    for p, q in coprime_pairs(16):
+    for p, q in family_fractions(16):
         bf, _ = brute_force_min(q)
         expected = Fraction(-1) if q % 2 == 0 else Fraction(-(q - 2), q)
         assert bf == expected, (p, q)
@@ -120,7 +121,7 @@ def test_criterion_4_quantum_side_identities():
 def test_criterion_5_classical_witness_exactness():
     start = time.monotonic()
     checked = 0
-    for p, q in coprime_pairs(64):
+    for p, q in family_fractions(64):
         v = decide_pair_family(RationalAngle(p, q))
         if not v.classical:
             continue
@@ -139,7 +140,7 @@ def test_criterion_5_classical_witness_exactness():
 def test_criterion_6_discontinuity_demonstration():
     start = time.monotonic()
     eps_frac = Fraction(1, 1000)
-    for p, q in coprime_pairs(101):
+    for p, q in family_fractions(101):
         angle = RationalAngle(p, q)
         if decide_pair_family(angle).classical:
             continue
@@ -153,7 +154,7 @@ def test_criterion_6_discontinuity_demonstration():
     # nonclassical ones
     odd_classical = [
         (p, q)
-        for p, q in coprime_pairs(101)
+        for p, q in family_fractions(101)
         if q % 2 == 1 and decide_pair_family(RationalAngle(p, q)).classical
     ]
     assert any(q > 50 for _, q in odd_classical)

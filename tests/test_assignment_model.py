@@ -20,13 +20,8 @@ from contextant.assignment_model import (
     pattern_chunks,
 )
 
-from conftest import (
-    coprime_pairs,
-    mask_signs,
-    mixture_correlation,
-    pattern_signs,
-    signs_correlation,
-)
+from check import family_fractions, sign_correlation
+from conftest import mask_signs, mixture_correlation, pattern_signs
 
 
 def naive_min(q):
@@ -120,7 +115,7 @@ class TestCycleAssignment:
                     continue
                 assert checked(signs)[1] == signs
                 assert signs_values(signs) == values
-                assert signs_correlation(signs) == tuple_correlation(values)
+                assert sign_correlation(signs) == tuple_correlation(values)
 
     def test_signs_and_values_round_trip(self):
         # every minimizer the sweep returns up to q = 16 passes the check
@@ -130,23 +125,23 @@ class TestCycleAssignment:
             assert len(signs) == q
             assert values_signs(signs_values(signs)) == signs
             assert is_admissible(signs_values(signs))
-            assert signs_correlation(signs) == corr
+            assert sign_correlation(signs) == corr
 
 
 class TestCycleCorrelation:
     """The test-side correlation of a sign string."""
 
     def test_pentagram_alternating(self):
-        assert signs_correlation("+-+-+") == Fraction(-3, 5)
+        assert sign_correlation("+-+-+") == Fraction(-3, 5)
 
     def test_even_alternating(self):
-        assert signs_correlation("+-+-") == Fraction(-1)
+        assert sign_correlation("+-+-") == Fraction(-1)
 
     def test_uniform(self):
         for q in (2, 5, 9):
             _, uniform = patterns(q)
             assert uniform == "+" * q
-            assert signs_correlation(uniform) == 1
+            assert sign_correlation(uniform) == 1
 
 
 class TestMinCorrelation:
@@ -170,17 +165,17 @@ class TestOptimalAssignment:
     def test_quarter(self):
         optimal, _ = patterns(4)
         assert optimal == "+-+-"
-        assert signs_correlation(optimal) == Fraction(-1)
+        assert sign_correlation(optimal) == Fraction(-1)
 
     def test_pentagram(self):
         optimal, _ = patterns(5)
         assert optimal == "+-+-+"
-        assert signs_correlation(optimal) == Fraction(-3, 5)
+        assert sign_correlation(optimal) == Fraction(-3, 5)
 
     def test_third(self):
         optimal, _ = patterns(3)
         assert optimal == "+-+"
-        assert signs_correlation(optimal) == Fraction(-1, 3)
+        assert sign_correlation(optimal) == Fraction(-1, 3)
 
     def test_attains_closed_form_minimum(self):
         """Up to q = 2000 the pattern is the mask of the earlier
@@ -189,7 +184,7 @@ class TestOptimalAssignment:
             optimal, _ = patterns(q)
             assert optimal == mask_signs(optimal_mask(q), q)
             assert "--" not in optimal + optimal[0]
-            assert signs_correlation(optimal) == min_correlation(q)
+            assert sign_correlation(optimal) == min_correlation(q)
 
     def test_alternating_up_to_q_200(self):
         for q in range(2, 201):
@@ -227,7 +222,7 @@ class TestBruteForce:
     def test_pentagram(self):
         corr, signs = brute_force_min(5)
         assert corr == Fraction(-3, 5)
-        assert signs_correlation(signs) == corr
+        assert sign_correlation(signs) == corr
 
     def test_half(self):
         corr, signs = brute_force_min(2)
@@ -235,12 +230,12 @@ class TestBruteForce:
         assert set(signs) == {"+", "-"}
 
     def test_matches_closed_form_exhaustively(self):
-        for p, q in coprime_pairs(16):
+        for p, q in family_fractions(16):
             corr, _ = brute_force_min(q)
             assert corr == min_correlation(q)
 
     def test_matches_naive_oracle(self):
-        for p, q in coprime_pairs(10):
+        for p, q in family_fractions(10):
             corr, _ = brute_force_min(q)
             assert corr == naive_min(q)
 
@@ -271,7 +266,7 @@ class TestMixtureForTarget:
 
     def test_exact_reproduction_and_valid_weights(self):
         rng = np.random.default_rng(3)
-        for p, q in coprime_pairs(12):
+        for p, q in family_fractions(12):
             target = Fraction(float(rng.uniform(-1, 1)))
             m = min_correlation(q)
             if target < m:
@@ -300,7 +295,7 @@ class TestMixtureRule:
             assert mixture_correlation(model.components) == Fraction(1, 2)
 
     @given(
-        pq=st.sampled_from(list(coprime_pairs(60))),
+        pq=st.sampled_from(family_fractions(60)),
         t=st.floats(-2.0, 2.0),
     )
     @example(pq=(1, 2), t=-1.0)

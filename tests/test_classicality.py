@@ -38,7 +38,8 @@ from contextant.spin_algebra import (
     minus_one_eigenprojector,
 )
 
-from conftest import coprime_pairs, mixture_correlation, pattern_signs
+from check import family_fractions
+from conftest import mixture_correlation, pattern_signs
 
 X = Direction(1.0, 0.0, 0.0)
 Y = Direction(0.0, 1.0, 0.0)
@@ -87,7 +88,7 @@ class TestDecidePairFamily:
             assert not v.classical, f"n = {n}"
 
     def test_classical_witness_reproduces_exactly(self):
-        for p, q in coprime_pairs(64):
+        for p, q in family_fractions(64):
             v = decide_pair_family(RationalAngle(p, q))
             if v.classical:
                 assert v.witness is not None
@@ -97,7 +98,7 @@ class TestDecidePairFamily:
         """Verdict agrees with the first-principles pipeline: quantum value
         from the operator algebra, optimum from the brute-force oracle."""
         rho = minus_one_eigenprojector(dichotomic(Z))
-        for p, q in coprime_pairs(16):
+        for p, q in family_fractions(16):
             angle = RationalAngle(p, q)
             v = decide_pair_family(angle)
             delta = angle.delta
@@ -215,7 +216,7 @@ def same_bits(row, v):
 
 class TestDecideRow:
     def test_matches_verdict_bitwise_up_to_300(self):
-        for p, q in coprime_pairs(300):
+        for p, q in family_fractions(300):
             angle = RationalAngle(p, q)
             assert same_bits(row_of(angle), decide_pair_family(angle)), (p, q)
 
@@ -286,7 +287,7 @@ class TestConditionPThreshold:
         assert condition_p_threshold(3) == pytest.approx(2.694813, abs=1e-6)
 
     def test_threshold_characterizes_verdict(self):
-        for p, q in coprime_pairs(201):
+        for p, q in family_fractions(201):
             if q % 2 == 0:
                 continue
             n = (q - 1) // 2

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import contextant.classicality
-from contextant import angle_family, cli
+from contextant import angle_family, cli, spin_algebra
 from contextant._kernel import Q_MAX
 from contextant.assignment_model import CHUNK, WITNESS_Q_MAX
 from contextant.classicality import dot_products
-from contextant.cli import QUANTUM_SAMPLES_MAX, THETA_Q_MAX, main
+from contextant.cli import QUANTUM_SAMPLES_MAX, SCAN_Q_MAX, THETA_Q_MAX, main
+from contextant.spin_algebra import pair_residuals
 
 
 def run_cli(*args):
@@ -182,6 +183,13 @@ class TestScan:
     def test_bad_range(self):
         assert run_cli("scan", "--q-max", "1").returncode == 2
 
+    def test_q_max_cap(self, capsys):
+        # the message names the cap as the literal it replaced did
+        assert SCAN_Q_MAX == 10_000
+        assert main(["scan", "--q-max", str(SCAN_Q_MAX + 1)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --q-max: must be in [2, 10000], got '10001'\n")
+
     def test_json_format(self):
         import json
 
@@ -266,17 +274,28 @@ class TestQuantumCheck:
         assert "PASS" in a.stdout
         assert a.stdout == b.stdout
 
+    @staticmethod
+    def g_residual(monkeypatch, change):
+        """Make quantum-check's g residuals change(residual)."""
+        def pair(theta, phi):
+            norm, g_err = pair_residuals(theta, phi)
+            return norm, change(g_err)
+
+        monkeypatch.setattr(cli, "pair_residuals", pair)
+
     def test_noncommuting_pair_fails_with_exit_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "delta_of_theta",
-                            lambda theta: angle_family.delta_of_theta(theta) + 0.1)
+        # pair_residuals takes its step from math.acos: 0.1 rad more makes
+        # every pair non-orthogonal, so no pair commutes
+        acos = math.acos
+        monkeypatch.setattr(spin_algebra.math, "acos", lambda x: acos(x) + 0.1)
         assert main(["quantum-check", "--samples", "20"]) == 1
         out, err = capsys.readouterr()
-        assert out.endswith("FAIL\n")
+        assert "max g(theta) residual" in out and out.endswith("FAIL\n")
+        assert float(out.split("max commutator residual: ")[1].split()[0]) > 0.1
         assert err == "quantum-check: a residual exceeds its tolerance\n"
 
     def test_failure_exits_1_with_a_reason(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "g_of_theta",
-                            lambda theta: angle_family.g_of_theta(theta) + 1e-6)
+        self.g_residual(monkeypatch, lambda g_err: g_err + 1e-6)
         assert main(["quantum-check", "--samples", "20"]) == 1
         out, err = capsys.readouterr()
         assert out.endswith("FAIL\n")
@@ -288,7 +307,7 @@ class TestQuantumCheck:
 
     def test_nan_residual_fails_with_exit_1(self, monkeypatch, capsys):
         # max(0.0, nan) is 0.0, so a worst-residual fold alone would pass it
-        monkeypatch.setattr(cli, "g_of_theta", lambda theta: math.nan)
+        self.g_residual(monkeypatch, lambda g_err: math.nan)
         assert main(["quantum-check", "--samples", "20"]) == 1
         out, err = capsys.readouterr()
         assert "max g(theta) residual: nan" in out and out.endswith("FAIL\n")

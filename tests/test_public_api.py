@@ -15,6 +15,7 @@ from test_golden import (
     KS_CASES,
     PERES33,
     QUANTUM_CHECK_CAP_SHA256,
+    QUANTUM_CHECK_SHORT_SHA256,
     golden,
 )
 
@@ -40,6 +41,10 @@ def expected_runs():
     runs["quantum_check_cap"] = (
         ["quantum-check", "--samples", str(QUANTUM_SAMPLES_MAX), "--seed", "1"],
         0, QUANTUM_CHECK_CAP_SHA256, EMPTY)
+    for (samples, seed), digest in QUANTUM_CHECK_SHORT_SHA256.items():
+        runs[f"quantum_check_{samples}_{seed}"] = (
+            ["quantum-check", "--samples", str(samples), "--seed", str(seed)],
+            0, digest, EMPTY)
     return runs
 
 

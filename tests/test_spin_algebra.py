@@ -1,6 +1,6 @@
 """Tests of the Cartesian spin-1 algebra against an independent oracle:
 the spin-1 matrices in the S_z eigenbasis, built here with numpy; and of
-quantum-check's written-out routes, pair_product_check and
+quantum-check's written-out routes, pair_residuals and
 triple_product_check, against the helper chain they replace, bit for bit."""
 
 import math
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextant import cli
-from contextant.angle_family import delta_of_theta, g_of_theta
+from contextant import cli, spin_algebra
+from contextant.angle_family import delta_of_theta, g_of_theta, theta_in_range
 from contextant.spin_algebra import (
     COMPAT_TOL,
     IDENTITY,
@@ -23,7 +23,7 @@ from contextant.spin_algebra import (
     expectation,
     matmul,
     minus_one_eigenprojector,
-    pair_product_check,
+    pair_residuals,
     triple_product_check,
 )
 
@@ -291,6 +291,19 @@ class TestTripleProduct:
         with pytest.raises(ValueError):
             triple_product_check(NAN, NAN, NAN)
 
+    @pytest.mark.parametrize("at", range(3))
+    def test_rejects_a_non_unit_vector_as_direction_does(self, at):
+        # an orthogonal triple with one vector rounded to 10 digits
+        rounded = (round(_SQ2, 10), round(_SQ2, 10), 0.0)
+        triple = [(_SQ2, -_SQ2, 0.0), (0.0, 0.0, 1.0)]
+        triple.insert(at, rounded)
+        with pytest.raises(ValueError) as plain:
+            triple_product_check(*triple)
+        with pytest.raises(ValueError) as direction:
+            Direction(*rounded)
+        assert str(plain.value) == str(direction.value)
+        assert str(plain.value).startswith("direction must be unit length")
+
 
 def test_compatible_directions_are_orthogonal():
     # cos(delta) sin^2(theta) + cos^2(theta) = 0 along the family
@@ -312,7 +325,8 @@ def test_fixed_state_correlation_equals_g_on_grid():
 
 
 # The helper chain that quantum-check computed its residuals with before the
-# routes were written out: the oracle of the bit-for-bit tests below.
+# routes were written out: the oracle of the bit-for-bit tests below.  The
+# m = 0 state is built and checked to be a density matrix here, once.
 M0_STATE = minus_one_eigenprojector(dichotomic(direction_from_angles(0.0, 0.0)))
 MINUS_IDENTITY = tuple(-x for x in IDENTITY)
 
@@ -321,6 +335,12 @@ def chain_pair(theta, phi, delta):
     a = dichotomic(direction_from_angles(theta, phi))
     b = dichotomic(direction_from_angles(theta, phi + delta))
     return commutator_norm(a, b), expectation(M0_STATE, matmul(a, b))
+
+
+def chain_residuals(theta, phi):
+    """pair_residuals(theta, phi) as the chain computes it."""
+    norm, corr = chain_pair(theta, phi, delta_of_theta(theta))
+    return norm, abs(corr - g_of_theta(theta))
 
 
 def chain_triple(k, l, m):
@@ -346,21 +366,33 @@ def bits(xs):
 angles = st.floats(-10.0, 10.0)
 
 
+accepted_thetas = st.floats(math.pi / 4 - 1e-12, math.pi / 2 + 1e-12).filter(
+    theta_in_range)
+
+
 class TestWrittenOutRoutes:
     @settings(max_examples=500, deadline=None)
-    @given(theta=angles, phi=angles, delta=angles)
-    def test_pair_equals_the_helper_chain(self, theta, phi, delta):
-        # the route reads only symmetry and the shared tilt, not
-        # orthogonality, so any step must give the chain's bits
-        assert bits(pair_product_check(theta, phi, delta)) == bits(
-            chain_pair(theta, phi, delta))
+    @given(theta=accepted_thetas, phi=angles)
+    def test_pair_equals_the_helper_chain(self, theta, phi):
+        # the route reads the azimuth only through cos and sin, so any
+        # azimuth must give the chain's bits
+        assert bits(pair_residuals(theta, phi)) == bits(chain_residuals(theta, phi))
 
     @settings(max_examples=500, deadline=None)
     @given(theta=st.floats(math.pi / 4, math.pi / 2), phi=st.floats(0.0, 2 * math.pi))
     def test_pair_equals_the_helper_chain_on_the_family(self, theta, phi):
-        delta = delta_of_theta(theta)
-        assert bits(pair_product_check(theta, phi, delta)) == bits(
-            chain_pair(theta, phi, delta))
+        # the ranges quantum-check draws from
+        assert bits(pair_residuals(theta, phi)) == bits(chain_residuals(theta, phi))
+
+    @pytest.mark.parametrize("theta", [
+        math.pi / 4 - 1e-11, math.pi / 2 + 1e-11, 0.0, -math.pi / 3, math.nan,
+        math.inf])
+    def test_pair_refuses_a_tilt_as_delta_of_theta_does(self, theta):
+        with pytest.raises(ValueError) as route:
+            pair_residuals(theta, 0.0)
+        with pytest.raises(ValueError) as chain:
+            delta_of_theta(theta)
+        assert str(route.value) == str(chain.value)
 
     @settings(max_examples=500, deadline=None)
     @given(seed=st.integers(0, 2**64), order=st.permutations(range(3)),
@@ -376,51 +408,58 @@ class TestWrittenOutRoutes:
     @given(entries=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                              min_size=9, max_size=9))
     def test_the_m0_state_reads_entry_8(self, entries):
-        # quantum-check builds this state and reads Tr(rho X) as X[8]
+        # the state is diag(0, 0, 1), so pair_residuals reads Tr(rho X) as X[8]
         assert M0_STATE == (0.0,) * 8 + (1.0,)
         x = tuple(entries)
         assert expectation(M0_STATE, x) == x[8]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_quantum_check_residuals_equal_the_helper_chain(self, seed, monkeypatch, capsys):
-        # record what quantum-check computes through its routes ...
+        # record what quantum-check draws and computes through its routes ...
         pairs, triples = [], []
 
         def pair(*args):
-            pairs.append((args[0], pair_product_check(*args)))
+            pairs.append((args, pair_residuals(*args)))
             return pairs[-1][1]
 
         def triple(*args):
             triples.append((args, triple_product_check(*args)))
             return triples[-1][1]
 
-        monkeypatch.setattr(cli, "pair_product_check", pair)
+        monkeypatch.setattr(cli, "pair_residuals", pair)
         monkeypatch.setattr(cli, "triple_product_check", triple)
         samples = 20_000
         assert cli.main(["quantum-check", "--samples", str(samples),
                          "--seed", str(seed)]) == 0
         capsys.readouterr()
-        comm = [norm for _, (norm, _) in pairs]
-        g_res = [abs(corr - g_of_theta(theta)) for theta, (_, corr) in pairs]
-        # ... and the residual lists of the helper chain on the same draws
+        # ... and the draws and residual lists of the helper chain, drawn
+        # with rng.uniform and rng.gauss
         rng = random.Random(seed)
-        oracle_comm, oracle_g = [], []
+        oracle_draws, oracle_comm, oracle_g = [], [], []
         for _ in range(samples):
             theta = rng.uniform(math.pi / 4, math.pi / 2)
             phi = rng.uniform(0.0, 2 * math.pi)
             norm, corr = chain_pair(theta, phi, delta_of_theta(theta))
+            oracle_draws += [theta, phi]
             oracle_comm.append(norm)
             oracle_g.append(abs(corr - g_of_theta(theta)))
         oracle_triples = [chain_orthonormal_triple(rng) for _ in range(100)]
-        assert bits(comm) == bits(oracle_comm)
-        assert bits(g_res) == bits(oracle_g)
+        assert bits(x for args, _ in pairs for x in args) == bits(oracle_draws)
+        assert bits(norm for _, (norm, _) in pairs) == bits(oracle_comm)
+        assert bits(g_err for _, (_, g_err) in pairs) == bits(oracle_g)
         assert [bits(x for d in args for x in d) for args, _ in triples] == [
             bits(x for d in t for x in d) for t in oracle_triples]
         assert bits(r for _, r in triples) == bits(chain_triple(*t) for t in oracle_triples)
 
     def test_nan_step_fails_the_unit_check(self, monkeypatch):
+        # a finite tilt in range gives a finite step; make math.acos, which
+        # pair_residuals takes the step from, return nan
+        monkeypatch.setattr(spin_algebra.math, "acos", lambda x: math.nan)
         with pytest.raises(ValueError, match="direction must be unit length"):
-            pair_product_check(1.0, 0.0, math.nan)
-        monkeypatch.setattr(cli, "delta_of_theta", lambda theta: math.nan)
+            pair_residuals(1.0, 0.0)
         with pytest.raises(ValueError, match="direction must be unit length"):
             cli.main(["quantum-check", "--samples", "5"])
+
+    def test_nan_azimuth_fails_the_unit_check(self):
+        with pytest.raises(ValueError, match="direction must be unit length"):
+            pair_residuals(1.0, math.nan)
