@@ -452,14 +452,13 @@ class TestWrittenOutRoutes:
         assert bits(r for _, r in triples) == bits(chain_triple(*t) for t in oracle_triples)
 
     def test_nan_step_fails_the_unit_check(self, monkeypatch):
-        # a finite tilt in range gives a finite step; make math.acos, which
-        # pair_residuals takes the step from, return nan
+        # a nan azimuth fails u's check; a finite tilt in range gives a
+        # finite step, so make math.acos, which pair_residuals takes the
+        # step from, return nan to fail v's
+        with pytest.raises(ValueError, match="direction must be unit length"):
+            pair_residuals(1.0, math.nan)
         monkeypatch.setattr(spin_algebra.math, "acos", lambda x: math.nan)
         with pytest.raises(ValueError, match="direction must be unit length"):
             pair_residuals(1.0, 0.0)
         with pytest.raises(ValueError, match="direction must be unit length"):
             cli.main(["quantum-check", "--samples", "5"])
-
-    def test_nan_azimuth_fails_the_unit_check(self):
-        with pytest.raises(ValueError, match="direction must be unit length"):
-            pair_residuals(1.0, math.nan)
