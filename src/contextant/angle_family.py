@@ -1,9 +1,9 @@
 """Geometry of the tilted pair family.
 
-Unit directions in R^3, the compatibility angle between successive
-measurement directions at tilt theta, its inverse, the quantum pair
-correlation g, exact rational angles and the parity class (odd, n) of a
-denominator, and best rational approximation of a float angle.
+The compatibility angle between successive measurement directions at
+tilt theta, its inverse, the quantum pair correlation g, exact rational
+angles and the parity class (odd, n) of a denominator, and best rational
+approximation of a float angle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ _EPS = 1e-12
 
 def theta_in_range(theta: float) -> bool:
     """Whether theta lies in [pi/4, pi/2] up to _EPS: the domain of
-    delta_of_theta and g_of_theta."""
+    delta_of_theta and g_of_theta.
+
+    A tilt less than _EPS below pi/4, such as 0.7853981633974483 (the float
+    nearest pi/4, 3.06e-17 below it) or the printed 0.785398163397, has
+    cot^2 theta > 1 and so no orthogonal pair of its own.  Both functions
+    clamp it to the end of the family, delta = pi and g = -1: it is decided
+    as the tilt pi/4, the member 1/2, and verdict --theta prints that delta.
+    """
     return THETA_MIN - _EPS <= theta <= THETA_MAX + _EPS
 
 
@@ -35,29 +42,6 @@ def delta_in_range(delta: float) -> bool:
     """Whether delta lies in [pi/2, pi] up to _EPS: the domain of
     theta_of_delta, g_of_delta and rational_approximants."""
     return DELTA_MIN - _EPS <= delta <= DELTA_MAX + _EPS
-
-
-# Direction's unit check: the largest | |d|^2 - 1 | it accepts
-UNIT_TOL = 1e-12
-
-
-class Direction(namedtuple("Direction", "x y z")):
-    """Unit vector in R^3.
-
-    The unit check accepts |d|^2 within UNIT_TOL = 1e-12 of 1.  A vector
-    made unit in floats misses 1 by at most 8.9e-16 (10^5 samples each from
-    angles, from division by its hypot norm and from quantum-check's
-    Euler-Rodrigues columns); one rounded to 10 digits misses by about
-    3e-11 and is refused.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float):
-        n = x * x + y * y + z * z
-        if not abs(n - 1.0) <= UNIT_TOL:  # a nan component fails too
-            raise ValueError(f"direction must be unit length, |d|^2 = {n!r}")
-        return super().__new__(cls, x, y, z)
 
 
 def delta_of_theta(theta: float) -> float:

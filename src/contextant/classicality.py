@@ -9,12 +9,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .angle_family import (
-    Direction,
     RationalAngle,
     g_of_delta,
     theta_of_delta,
 )
 from .assignment_model import min_correlation, mixture_for_target
+from .spin_algebra import Vector
 
 ORTHO_TOL = 1e-10
 COUNT_CAP = 20
@@ -188,7 +188,7 @@ class VectorSet:
     the pairs outgrow it and before any triple is listed.
     """
 
-    def __init__(self, vectors: list[Direction]):
+    def __init__(self, vectors: list[Vector]):
         self.vectors = vectors
         self.__post_init__()
 
@@ -203,8 +203,6 @@ class VectorSet:
             if work > VECTORSET_BUDGET:
                 raise ValueError(f"vector set needs more than {VECTORSET_BUDGET} "
                                  "dot products and triple checks")
-            # the dot product on unpacked coordinates: reading each
-            # namedtuple field by name costs more per pair
             for j, (vx, vy, vz) in enumerate(vectors[i + 1:], i + 1):
                 if abs(ux * vx + uy * vy + uz * vz) < ORTHO_TOL:
                     work += n - j - 1

@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from .angle_family import (
-    Direction,
     RationalAngle,
     delta_of_theta,
     g_of_theta,
@@ -117,10 +116,11 @@ _int_at_least_2 = _checked(int, lambda n: n >= 2, ">= 2")
 _theta = _checked(float, theta_in_range, "in [pi/4, pi/2]")
 
 
-def _vector_file(path: str) -> list[Direction]:
+def _vector_file(path: str) -> list[Vector]:
     """argparse type: the directions in a text file, one per nonblank line
-    as three finite reals with a nonzero norm, scaled to unit length, read
-    only until VectorSet would refuse them on their dot products alone."""
+    as three finite reals with a nonzero norm, scaled to unit length as
+    (x, y, z) tuples, read only until VectorSet would refuse them on their
+    dot products alone."""
     vecs = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -140,8 +140,9 @@ def _vector_file(path: str) -> list[Direction]:
                     )
                 # hypot loses bits on subnormal input, and overflows where the
                 # norm exceeds the largest float: scale to max |c| = 1 first
-                n = math.hypot(*(c / big for c in xyz))
-                vecs.append(Direction(*(c / big / n for c in xyz)))
+                x, y, z = (c / big for c in xyz)
+                n = math.hypot(x, y, z)
+                vecs.append((x / n, y / n, z / n))
                 if dot_products(len(vecs)) > VECTORSET_BUDGET:
                     break
     except (OSError, ValueError) as e:

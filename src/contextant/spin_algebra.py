@@ -2,8 +2,9 @@
 
 There (S_k)_ij = -i eps_kij, so (d.S)^2 = |d|^2 I - d d^T, and for a unit
 direction d the dichotomic observable 2 (d.S)^2 - I is the reflection
-I - 2 d d^T.  The m = 0 state along z is e_z.  A matrix is a tuple of nine
-floats in row-major order, so math.dist gives the Frobenius norm of a - b.
+I - 2 d d^T.  The m = 0 state along z is e_z.  A vector is a plain
+(x, y, z) tuple, and a matrix a tuple of nine floats in row-major order,
+so math.dist gives the Frobenius norm of a - b.
 
 quantum-check takes the two routes written out entry by entry on plain
 coordinates, pair_residuals and triple_product_check.  pair_residuals takes
@@ -20,10 +21,17 @@ from __future__ import annotations
 
 import math
 
-from .angle_family import UNIT_TOL, Direction, theta_in_range
+from .angle_family import theta_in_range
 
 Matrix = tuple[float, ...]
 Vector = tuple[float, float, float]
+
+# The unit check of pair_residuals and triple_product_check: the largest
+# | |d|^2 - 1 | they accept.  A vector made unit in floats misses 1 by at
+# most 8.9e-16 (10^5 samples each from angles, from division by its hypot
+# norm and from quantum-check's Euler-Rodrigues columns); one rounded to 10
+# digits misses by about 3e-11 and is refused.
+UNIT_TOL = 1e-12
 
 # The largest defect a check here accepts: a dot product of a triple, or the
 # distance of a^2 from I and of tr a from 1; nan fails them.  No check here
@@ -34,10 +42,10 @@ COMPAT_TOL = 1e-10
 IDENTITY: Matrix = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def direction_from_angles(theta: float, phi: float) -> Direction:
+def direction_from_angles(theta: float, phi: float) -> Vector:
     """Unit vector (cos(phi) sin(theta), sin(phi) sin(theta), cos(theta))."""
     st = math.sin(theta)
-    return Direction(math.cos(phi) * st, math.sin(phi) * st, math.cos(theta))
+    return math.cos(phi) * st, math.sin(phi) * st, math.cos(theta)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -55,13 +63,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             a6 * b2 + a7 * b5 + a8 * b8)
 
 
-def dichotomic(d: Direction) -> Matrix:
+def dichotomic(d: Vector) -> Matrix:
     """Dichotomic observable 2 (d.S)^2 - I = I - 2 d d^T, spectrum {+1, +1, -1}.
 
     Exactly symmetric and even in d.  Two of these commute exactly when their
     directions are orthogonal or collinear: [A_u, A_v] = 4 (u.v)(u v^T - v u^T).
     """
-    x, y, z = d.x, d.y, d.z
+    x, y, z = d
     # 0 - t, not -t: an off-diagonal zero stays +0.0 whatever the sign of t
     return (1 - 2.0 * x * x, 0 - 2.0 * x * y, 0 - 2.0 * x * z,
             0 - 2.0 * y * x, 1 - 2.0 * y * y, 0 - 2.0 * y * z,
@@ -104,7 +112,7 @@ def pair_residuals(theta: float, phi: float) -> tuple[float, float]:
     directions at tilt theta and azimuths phi and phi + delta(theta).
 
     theta must pass theta_in_range, with delta_of_theta's message, and u
-    and v Direction's unit check.  cos theta and sin theta are taken once;
+    and v the unit check (UNIT_TOL).  cos theta and sin theta are taken once;
     delta and g are computed from them as delta_of_theta and g_of_theta
     compute them.  Both reflections are exactly symmetric and share their
     entry [2][2], so six entries of each are read; [A_u, A_v] = P - P^T for
@@ -138,7 +146,7 @@ def pair_residuals(theta: float, phi: float) -> tuple[float, float]:
 
 def triple_product_check(k: Vector, l: Vector, m: Vector) -> float:
     """Residual |A_k A_l A_m + I|_F for a mutually orthogonal triple of
-    (x, y, z) coordinates, each of which must pass Direction's unit check.
+    (x, y, z) coordinates, each of which must pass the unit check (UNIT_TOL).
 
     Each factor is exactly symmetric, so six entries of each are read; the
     products are summed as matmul sums them, and the residual is

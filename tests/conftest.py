@@ -40,3 +40,17 @@ def mask_signs(mask, q):
     """The sign string of a q-bit mask: '-' at position k iff bit k is set."""
     return "".join("-" if (mask >> k) & 1 else "+" for k in range(q))
 
+
+
+def naive_min_cycle_sum(q):
+    """Independent enumeration oracle: (sum, lowest mask) over all 2^q
+    masks in ascending order, set bit k meaning value -1 at position k."""
+    best = None
+    for mask in range(1 << q):
+        values = [-1 if (mask >> k) & 1 else 1 for k in range(q)]
+        if any(values[k] == -1 and values[(k + 1) % q] == -1 for k in range(q)):
+            continue
+        s = sum(values[k] * values[(k + 1) % q] for k in range(q))
+        if best is None or s < best[0]:
+            best = (s, mask)
+    return best

@@ -23,7 +23,6 @@ from contextant.classicality import (
 )
 from contextant.spin_algebra import (
     COMPAT_TOL,
-    Direction,
     commutator_norm,
     dichotomic,
     direction_from_angles,
@@ -37,7 +36,7 @@ from contextant.angle_family import delta_of_theta, g_of_theta
 from check import family_fractions
 from conftest import mixture_correlation
 
-Z = Direction(0.0, 0.0, 1.0)
+Z = (0.0, 0.0, 1.0)
 
 
 def report(name, start, budget):
@@ -113,7 +112,7 @@ def test_criterion_4_quantum_side_identities():
     for _ in range(100):
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
-        dirs = [Direction(*(c / np.linalg.norm(c))) for c in q.T]
+        dirs = [tuple(c / np.linalg.norm(c)) for c in q.T]
         assert triple_product_check(*dirs) < 1e-10
     report("criterion 4: quantum-side identities", start, 5.0)
 
@@ -163,7 +162,7 @@ def test_criterion_6_discontinuity_demonstration():
 
 def test_criterion_7_colorability_sanity():
     start = time.monotonic()
-    X, Y = Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0)
+    X, Y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     basis = VectorSet([X, Y, Z])
     res = ks_colorability(basis, "strict")
     assert res.satisfiable and res.count == 3

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -21,19 +20,12 @@ from contextant.assignment_model import (
 )
 
 from check import family_fractions, sign_correlation
-from conftest import mask_signs, mixture_correlation, pattern_signs
-
-
-def naive_min(q):
-    """Independent enumeration oracle over all sign tuples."""
-    best = None
-    for values in product((1, -1), repeat=q):
-        if any(values[k] == -1 and values[(k + 1) % q] == -1 for k in range(q)):
-            continue
-        s = Fraction(sum(values[k] * values[(k + 1) % q] for k in range(q)), q)
-        if best is None or s < best:
-            best = s
-    return best
+from conftest import (
+    mask_signs,
+    mixture_correlation,
+    naive_min_cycle_sum,
+    pattern_signs,
+)
 
 
 def is_admissible(values):
@@ -237,7 +229,7 @@ class TestBruteForce:
     def test_matches_naive_oracle(self):
         for p, q in family_fractions(10):
             corr, _ = brute_force_min(q)
-            assert corr == naive_min(q)
+            assert corr == Fraction(naive_min_cycle_sum(q)[0], q)
 
     def test_deterministic_minimizer(self):
         a1 = brute_force_min(7)[1]

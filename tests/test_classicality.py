@@ -29,7 +29,6 @@ from contextant.classicality import (
 from contextant.cli import THETA_Q_MAX
 from contextant.spin_algebra import (
     COMPAT_TOL,
-    Direction,
     commutator_norm,
     dichotomic,
     direction_from_angles,
@@ -41,28 +40,28 @@ from contextant.spin_algebra import (
 from check import family_fractions
 from conftest import mixture_correlation, pattern_signs
 
-X = Direction(1.0, 0.0, 0.0)
-Y = Direction(0.0, 1.0, 0.0)
-Z = Direction(0.0, 0.0, 1.0)
+X = (1.0, 0.0, 0.0)
+Y = (0.0, 1.0, 0.0)
+Z = (0.0, 0.0, 1.0)
 
 PERES33 = Path(__file__).parent / "data" / "peres33.txt"
 
 
 def peres33():
-    return [Direction(*map(float, line.split()))
+    return [tuple(map(float, line.split()))
             for line in PERES33.read_text(encoding="utf-8").splitlines()]
 
 
 def rotate(d, axis, angle):
     """Rodrigues rotation of direction d about a unit axis."""
-    v, k = np.array([d.x, d.y, d.z]), np.array([axis.x, axis.y, axis.z])
+    v, k = np.array(d), np.array(axis)
     r = (
         v * math.cos(angle)
         + np.cross(k, v) * math.sin(angle)
         + k * np.dot(k, v) * (1 - math.cos(angle))
     )
     r /= np.linalg.norm(r)
-    return Direction(*r)
+    return tuple(r)
 
 
 class TestDecidePairFamily:
@@ -402,7 +401,7 @@ def peres_unions(draw):
     for rays in parts:
         axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
             lambda v: math.hypot(*v) > 0.1))
-        axis = Direction(*(c / math.hypot(*axis) for c in axis))
+        axis = tuple(c / math.hypot(*axis) for c in axis)
         angle = draw(st.floats(0.0, 2 * math.pi))
         part = [rotate(d, axis, angle) for d in rays[:14 // len(parts)]]
         pairs += len(VectorSet(part).pairs)
@@ -442,7 +441,7 @@ class TestKsColorability:
             for _ in range(4):
                 v = rng.normal(size=3)
                 v /= np.linalg.norm(v)
-                vecs.append(Direction(*v))
+                vecs.append(tuple(v))
             for mode in ("strict", "relaxed"):
                 res = ks_colorability(VectorSet(vecs), mode)
                 # the oracle enumerates in the search's order: + before -
@@ -470,7 +469,7 @@ class TestKsColorability:
     def test_lone_vectors_on_the_step_budget(self, monkeypatch):
         # COUNT_CAP directions in a cone about z: no orthogonal pair, so each
         # vector is a component of its own, one branching, +1 first, x2 count
-        vecs = [Direction(*(c / math.sqrt(5.0) for c in (math.cos(k), math.sin(k), 2.0)))
+        vecs = [tuple(c / math.sqrt(5.0) for c in (math.cos(k), math.sin(k), 2.0))
                 for k in range(COUNT_CAP)]
         vset = VectorSet(vecs)
         assert not vset.pairs
@@ -495,9 +494,9 @@ class TestKsColorability:
         # direction almost never adds one
         assume(math.hypot(*axis) > 0.1)
         assume(all(math.hypot(*v) > 0.1 for v in extra))
-        axis = Direction(*(c / math.hypot(*axis) for c in axis))
+        axis = tuple(c / math.hypot(*axis) for c in axis)
         vecs = [rotate(d, axis, angle) for d in rays[:14 - len(extra)]]
-        vecs += [Direction(*(c / math.hypot(*v) for c in v)) for v in extra]
+        vecs += [tuple(c / math.hypot(*v) for c in v) for v in extra]
         vset = VectorSet(vecs)
         assert ks_colorability(vset, mode) == backtracking_colorability(vset, mode)
 
@@ -519,7 +518,7 @@ class TestKsColorability:
         pairs = []
         for _ in range(16):
             axis = rng.normal(size=3)
-            axis = Direction(*(axis / np.linalg.norm(axis)))
+            axis = tuple(axis / np.linalg.norm(axis))
             angle = rng.uniform(0.0, 2 * math.pi)
             pairs += [rotate(X, axis, angle), rotate(Y, axis, angle)]
         vset = VectorSet(pairs + peres33())
@@ -542,7 +541,6 @@ class TestKsColorability:
 
 @pytest.mark.parametrize("record, field", [
     (RationalAngle(2, 5), "p"),
-    (Direction(1.0, 0.0, 0.0), "x"),
     (decide_pair_family(RationalAngle(2, 5)), "classical"),
     (ColorabilityResult(True, "+", 2), "count"),
 ], ids=lambda x: x if isinstance(x, str) else type(x).__name__)

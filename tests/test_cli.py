@@ -1,10 +1,13 @@
 import math
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import contextant.classicality
 from contextant import angle_family, cli, spin_algebra
@@ -12,7 +15,7 @@ from contextant._kernel import Q_MAX
 from contextant.assignment_model import CHUNK, WITNESS_Q_MAX
 from contextant.classicality import dot_products
 from contextant.cli import QUANTUM_SAMPLES_MAX, SCAN_Q_MAX, THETA_Q_MAX, main
-from contextant.spin_algebra import pair_residuals
+from contextant.spin_algebra import UNIT_TOL, pair_residuals
 
 
 def run_cli(*args):
@@ -26,6 +29,14 @@ def run_cli(*args):
 def assert_usage_error(r, option):
     assert r.returncode == 2
     assert option in r.stderr and "Traceback" not in r.stderr
+
+
+# a vector file's components: any finite float, subnormals included, with
+# zeros, subnormals and values near the largest float drawn more often
+component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+                     1.7e308, -1.7976931348623157e308]))
 
 
 class TestVerdict:
@@ -56,6 +67,23 @@ class TestVerdict:
 
     def test_theta_out_of_range_rejected(self):
         assert_usage_error(run_cli("verdict", "--theta", "0.5"), "--theta")
+
+    @pytest.mark.parametrize("theta", [
+        "0.7853981633974483",  # the float nearest pi/4, 3.06e-17 below it
+        "0.785398163397",  # 1/2's printed theta, 4.5e-13 below pi/4
+    ])
+    def test_tilt_just_below_pi_over_4_is_decided_as_pi_over_4(self, theta, capsys):
+        # accepted within angle_family._EPS; no orthogonal pair exists there,
+        # so the step is clamped to delta = pi, the member 1/2, as printed
+        assert main(["verdict", "--theta", theta]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  verdict: Classical"
+        assert lines[3] == "  theta: 0.785398163397  delta: 3.14159265359  g: -1"
+        assert lines[-1] == "  1/2 (distance 0): Classical, margin 0"
+
+    def test_tilt_1e_11_below_pi_over_4_rejected(self):
+        assert_usage_error(run_cli("verdict", "--theta", "0.7853981633874483"),
+                           "--theta")
 
     def test_theta_q_max_below_two_rejected(self):
         assert_usage_error(run_cli("verdict", "--theta", "0.9", "--q-max", "1"),
@@ -301,10 +329,6 @@ class TestQuantumCheck:
         assert out.endswith("FAIL\n")
         assert err and "Traceback" not in err
 
-    def test_nan_direction_rejected(self):
-        with pytest.raises(ValueError):
-            angle_family.Direction(math.nan, 0.0, 0.0)
-
     def test_nan_residual_fails_with_exit_1(self, monkeypatch, capsys):
         # max(0.0, nan) is 0.0, so a worst-residual fold alone would pass it
         self.g_residual(monkeypatch, lambda g_err: math.nan)
@@ -516,6 +540,22 @@ class TestKsColor:
         f.write_text(text)
         assert main(["ks-color", str(f)]) == 0
         assert capsys.readouterr() == (out, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors=st.lists(st.tuples(*[component] * 3).filter(any),
+                            min_size=1, max_size=8))
+    @example(vectors=[(5e-324, 5e-324, 0.0), (1.7e308, -1.7e308, 1.7e308),
+                      (1e-320, 0.0, 1.0), (-0.0, 0.0, 2.2250738585072014e-308)])
+    def test_every_vector_read_passes_the_unit_check(self, vectors):
+        # the vectors reach VectorSet and the search unchecked: the scaling
+        # alone must leave each unit to within the quantum routes' UNIT_TOL
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vecs.txt"
+            path.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in vectors))
+            read = cli._vector_file(str(path))
+        assert len(read) == len(vectors)
+        for x, y, z in read:
+            assert abs(x * x + y * y + z * z - 1.0) <= UNIT_TOL
 
 
 @pytest.mark.parametrize("argv, built", [

@@ -5,21 +5,7 @@ import pytest
 from contextant import _kernel
 from contextant.assignment_model import min_correlation
 
-from conftest import mask_signs
-
-
-def naive_min_cycle_sum(q):
-    """Independent enumeration oracle: (sum, lowest mask) over all 2^q
-    masks in ascending order, set bit k meaning value -1 at position k."""
-    best = None
-    for mask in range(1 << q):
-        values = [-1 if (mask >> k) & 1 else 1 for k in range(q)]
-        if any(values[k] == -1 and values[(k + 1) % q] == -1 for k in range(q)):
-            continue
-        s = sum(values[k] * values[(k + 1) % q] for k in range(q))
-        if best is None or s < best[0]:
-            best = (s, mask)
-    return best
+from conftest import mask_signs, naive_min_cycle_sum
 
 
 @pytest.mark.parametrize("q", range(1, 17))
